@@ -12,8 +12,6 @@ from .constraints import (
     DfaConstraint,
     EarleyChecker,
     NonViablePrefixError,
-    dfa_checker,
-    earley_checker,
     load_constraint,
     load_dfa,
     make_dfa,
@@ -101,10 +99,8 @@ __all__ = [
     "bootstrap_ci",
     "condition",
     "constrained_mass",
-    "dfa_checker",
     "draw_index",
     "dump_distribution",
-    "earley_checker",
     "efficiency_summary",
     "empirical_kl",
     "empirical_tv",

@@ -5,8 +5,9 @@ prefix u, which tokens a keep u·a inside prefix(L) (the viability mask,
 with the eos bit answering whether u terminated now is a member), and
 whether a terminated sequence is a member.  Tokens are matched by their
 surface bytes, consumed byte-by-byte, so checkers are independent of any
-tokenizer.  Masks are memoized per prefix; checkers are immutable after
-construction.
+tokenizer.  Answers are memoized and every mask is returned read-only:
+the Earley checker keys them by prefix, the DFA checker by automaton state,
+so all prefixes that reach one state share one mask.
 """
 
 from __future__ import annotations
@@ -28,37 +29,27 @@ class NonViablePrefixError(ValueError):
 class ConstraintChecker(ABC):
     def __init__(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
-        self._mask_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._complete_cache: dict[tuple[int, ...], bool] = {}
 
     def viability_mask(self, u: Sequence) -> np.ndarray:
-        """Boolean vector over the vocabulary: bit a iff u·a is viable.
+        """Read-only boolean vector over the vocabulary: bit a iff u·a is
+        viable.
 
         Raises NonViablePrefixError when u itself is not viable; querying
         such a prefix indicates a sampler bug, not a rejected sample.
         """
         if u.terminated:
             raise ValueError("cannot extend a terminated sequence")
-        mask = self._mask_cache.get(u.ids)
-        if mask is None:
-            mask = self._mask_uncached(u.ids)
-            mask.flags.writeable = False
-            self._mask_cache[u.ids] = mask
-        return mask
+        return self._mask(u.ids)
 
     def is_complete(self, w: Sequence) -> bool:
         """Membership test for a terminated sequence."""
         if not w.terminated:
             raise UnterminatedSequenceError("membership needs a terminated sequence")
-        body = w.ids[:-1]
-        got = self._complete_cache.get(body)
-        if got is None:
-            got = self._is_complete_body(body)
-            self._complete_cache[body] = got
-        return got
+        return self._is_complete_body(w.ids[:-1])
 
     @abstractmethod
-    def _mask_uncached(self, ids: tuple[int, ...]) -> np.ndarray: ...
+    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
+        """Read-only viability mask of the prefix ``ids``."""
 
     @abstractmethod
     def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
@@ -70,8 +61,8 @@ class EarleyChecker(ConstraintChecker):
 
     The grammar is reduced at construction, which makes "chart column
     non-empty" a sound and complete viability test: every live item can
-    then be completed to a member of L.  Charts are cached per prefix and
-    extended one token at a time.
+    then be completed to a member of L.  Charts, masks and membership
+    answers are cached per prefix; charts are extended one token at a time.
     """
 
     def __init__(self, grammar: Grammar, vocab: Vocabulary) -> None:
@@ -87,6 +78,8 @@ class EarleyChecker(ConstraintChecker):
         # chart per prefix: tuple of frozensets of (prod, dot, origin); None = dead
         self._charts: dict[tuple[int, ...], tuple | None] = {}
         self._charts[()] = (self._closure([], {(0, 0, 0)}, 0),)
+        self._mask_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._complete_cache: dict[tuple[int, ...], bool] = {}
 
     def _closure(self, cols: list, seed: set, pos: int) -> frozenset:
         col = set(seed)
@@ -158,26 +151,30 @@ class EarleyChecker(ConstraintChecker):
     def _accepts(self, chart: tuple) -> bool:
         return (0, 1, 0) in chart[-1]
 
-    def _mask_uncached(self, ids: tuple[int, ...]) -> np.ndarray:
-        chart = self._chart(ids)
-        if chart is None:
-            raise NonViablePrefixError(f"prefix {ids} is not viable")
-        mask = np.zeros(self.vocab.size, dtype=bool)
-        cols = list(chart)
-        for token in range(self.vocab.size):
-            if token == self.vocab.eos:
-                mask[token] = self._accepts(chart)
-            else:
-                mask[token] = self._feed_token(cols, token) is not None
+    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
+        mask = self._mask_cache.get(ids)
+        if mask is None:
+            chart = self._chart(ids)
+            if chart is None:
+                raise NonViablePrefixError(f"prefix {ids} is not viable")
+            mask = np.zeros(self.vocab.size, dtype=bool)
+            cols = list(chart)
+            for token in range(self.vocab.size):
+                if token == self.vocab.eos:
+                    mask[token] = self._accepts(chart)
+                else:
+                    mask[token] = self._feed_token(cols, token) is not None
+            mask.flags.writeable = False
+            self._mask_cache[ids] = mask
         return mask
 
     def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
-        chart = self._chart(ids)
-        return chart is not None and self._accepts(chart)
-
-
-def earley_checker(grammar: Grammar, vocab: Vocabulary) -> EarleyChecker:
-    return EarleyChecker(grammar, vocab)
+        got = self._complete_cache.get(ids)
+        if got is None:
+            chart = self._chart(ids)
+            got = chart is not None and self._accepts(chart)
+            self._complete_cache[ids] = got
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +291,13 @@ def _quoted_bytes(text: str, lineno: int) -> bytes:
 
 class DfaChecker(ConstraintChecker):
     """Checker for a regular constraint: viability is co-reachability of the
-    state after reading the prefix bytes, membership is acceptance."""
+    state after reading the prefix bytes, membership is acceptance.
+
+    Each prefix's state is cached.  A co-reachable state's mask is built the
+    first time a prefix reaches that state and then returned, as the same
+    read-only array, for every prefix in that state: at most one mask per
+    co-reachable state, however many prefixes are queried.
+    """
 
     def __init__(self, dfa: DfaConstraint, vocab: Vocabulary) -> None:
         super().__init__(vocab)
@@ -308,6 +311,7 @@ class DfaChecker(ConstraintChecker):
                     )
         self.dfa = dfa
         self._states: dict[tuple[int, ...], int] = {(): dfa.start}
+        self._state_masks: dict[int, np.ndarray] = {}
 
     def _state(self, ids: tuple[int, ...]) -> int:
         got = self._states.get(ids)
@@ -318,10 +322,18 @@ class DfaChecker(ConstraintChecker):
             self._states[ids] = got = state
         return got
 
-    def _mask_uncached(self, ids: tuple[int, ...]) -> np.ndarray:
+    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
         state = self._state(ids)
-        if state not in self.dfa.co_reachable:
-            raise NonViablePrefixError(f"prefix {ids} is not viable")
+        mask = self._state_masks.get(state)
+        if mask is None:
+            if state not in self.dfa.co_reachable:
+                raise NonViablePrefixError(f"prefix {ids} is not viable")
+            mask = self._state_masks[state] = self._build_mask(state)
+        return mask
+
+    def _build_mask(self, state: int) -> np.ndarray:
+        """The read-only mask of a co-reachable state: walk every token's
+        surface bytes from it."""
         mask = np.zeros(self.vocab.size, dtype=bool)
         for token in range(self.vocab.size):
             if token == self.vocab.eos:
@@ -331,14 +343,11 @@ class DfaChecker(ConstraintChecker):
                 for b in self.vocab.surfaces[token]:
                     s = self.dfa.transitions[(s, b)]
                 mask[token] = s in self.dfa.co_reachable
+        mask.flags.writeable = False
         return mask
 
     def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
         return self._state(ids) in self.dfa.accepting
-
-
-def dfa_checker(dfa: DfaConstraint, vocab: Vocabulary) -> DfaChecker:
-    return DfaChecker(dfa, vocab)
 
 
 def load_constraint(path: str | Path, vocab: Vocabulary) -> ConstraintChecker:

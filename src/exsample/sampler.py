@@ -207,11 +207,33 @@ def invalid_set(
     return out
 
 
+def _masked_tables(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
+    """``(total, probs, cum)`` of ``dist`` masked by ``mask`` and renormalized,
+    with probs and cum as lists (None when the mask leaves no mass).
+
+    Cached in ``tables`` per (distribution, mask) pair by object identity;
+    the entry holds both objects, so neither id can be reused while it
+    lives.
+    """
+    key = (id(dist), id(mask))
+    hit = tables.get(key)
+    if hit is None:
+        allowed = dist.probs * mask
+        total = allowed.sum()
+        probs = cum = None
+        if total > 0.0:
+            normed = allowed / total
+            probs, cum = normed.tolist(), np.cumsum(normed).tolist()
+        hit = tables[key] = (dist, mask, total, probs, cum)
+    return hit[2:]
+
+
 def gcd_sample(
     lm: LanguageModel,
     checker: ConstraintChecker,
     cfg: SamplerConfig,
     rng: np.random.Generator,
+    tables: dict | None = None,
 ) -> SampleTrace:
     """Greedy constrained decoding: mask non-viable tokens, renormalize,
     sample.  Efficient but biased relative to the constrained distribution.
@@ -219,7 +241,11 @@ def gcd_sample(
     If the horizon forces eos while the sequence is not a member (the
     constraint's shortest completion ran past the horizon), the attempt is
     returned unterminated and not accepted; the caller recounts it.
+    ``tables`` caches the masked draw tables; ``run`` passes one dict for
+    the whole run, so it lives no longer than the run's model and checker.
     """
+    if tables is None:
+        tables = {}
     eos = lm.vocab.eos
     ids: list[int] = []
     dists: list[NextTokenDistribution] = []
@@ -230,8 +256,7 @@ def gcd_sample(
         mask = checker.viability_mask(prefix)
         dists.append(dist)
         masks.append(mask)
-        allowed = dist.probs * mask
-        total = allowed.sum()
+        total, probs, cum = _masked_tables(tables, dist, mask)
         if total <= 0.0:
             if len(ids) == cfg.max_len:
                 # horizon dead end: eos forced but not a member here
@@ -245,8 +270,7 @@ def gcd_sample(
             raise RuntimeError(
                 "every token masked at a viable prefix; checker is inconsistent"
             )
-        probs = allowed / total
-        token = draw_index(probs, np.cumsum(probs), rng.random())
+        token = draw_index(probs, cum, rng.random())
         ids.append(token)
         if token == eos:
             tokens = Sequence(tuple(ids), True)
@@ -306,10 +330,11 @@ def run(
                 yield trace.tokens
 
     def gcd_stream() -> Iterator[Sequence]:
+        tables: dict = {}
         while metrics.generations < cfg.sample_cap:
             if target_valid is not None and metrics.accepted >= target_valid:
                 return
-            trace = gcd_sample(lm, checker, cfg, rng)
+            trace = gcd_sample(lm, checker, cfg, rng, tables)
             metrics.generations += 1
             metrics.p_eps_trajectory.append(1.0)
             if trace.accepted:

@@ -339,3 +339,81 @@ def test_checkers_are_deterministic(arith_grammar):
     b = EarleyChecker(arith_grammar, VOCAB)
     for ids in [(), (0,), (0, 2), (1, 2, 0)]:
         assert np.array_equal(a.viability_mask(VOCAB.seq(ids)), b.viability_mask(VOCAB.seq(ids)))
+
+
+# -- DFA masks per automaton state ----------------------------------------------
+
+AB = Vocabulary.from_tokens(["a", "b", "ab", "ba", "bb", "$"], eos=5)
+
+
+def _no_bb_dfa():
+    """Over a, b: no "bb", not ending in b.  State 0 after a, 1 after b,
+    2 the dead state make_dfa adds for the missing (1, b) edge."""
+    transitions = {(0, ord("a")): 0, (0, ord("b")): 1, (1, ord("a")): 0}
+    return make_dfa(2, 0, [0], b"ab", transitions)
+
+
+def _count_mask_builds(monkeypatch):
+    """Counter of DfaChecker mask builds per automaton state."""
+    from collections import Counter
+
+    built = Counter()
+    plain = DfaChecker._build_mask
+
+    def counted(self, state):
+        built[state] += 1
+        return plain(self, state)
+
+    monkeypatch.setattr(DfaChecker, "_build_mask", counted)
+    return built
+
+
+def test_dfa_construction_builds_no_mask(monkeypatch):
+    built = _count_mask_builds(monkeypatch)
+    checker = DfaChecker(_no_bb_dfa(), AB)
+    assert not built
+    checker.viability_mask(AB.empty())
+    assert built == {0: 1}
+
+
+@pytest.mark.parametrize("method", ["rs", "ars", "rsft", "cars", "gcd"])
+def test_dfa_run_builds_at_most_one_mask_per_state(method, monkeypatch):
+    from exsample import SamplerConfig, TableLM, run
+
+    built = _count_mask_builds(monkeypatch)
+    contexts = {(1,): [0.2, 0.3, 0.1, 0.1, 0.1, 0.2], (0, 3): [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]}
+    lm = TableLM(AB, contexts, [0.3, 0.2, 0.15, 0.1, 0.15, 0.1], max_len=6)
+    dfa = _no_bb_dfa()
+    checker = DfaChecker(dfa, AB)
+    cfg = SamplerConfig(method=method, seed=3, max_len=lm.max_len, sample_cap=300)
+    stream, metrics = run(lm, checker, cfg)
+    assert list(stream) and metrics.generations == 300
+    assert set(built) == set(dfa.co_reachable)
+    assert max(built.values()) == 1
+
+
+def test_dfa_prefixes_in_one_state_share_one_readonly_mask():
+    checker = DfaChecker(_no_bb_dfa(), AB)
+    # "a", "ba" and "ab·a" all end after an a: state 0, like the empty prefix
+    masks = [checker.viability_mask(AB.seq(ids)) for ids in [(), (0,), (3,), (2, 0)]]
+    assert all(m is masks[0] for m in masks)
+    after_b = checker.viability_mask(AB.seq((1,)))
+    assert checker.viability_mask(AB.seq((2,))) is after_b
+    assert after_b is not masks[0]
+    for mask in (masks[0], after_b):
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    assert masks[0].tolist() == _bfs_mask(_no_bb_dfa(), AB, ())
+    assert after_b.tolist() == _bfs_mask(_no_bb_dfa(), AB, (1,))
+
+
+def test_dfa_dead_state_prefix_still_raises():
+    checker = DfaChecker(_no_bb_dfa(), AB)
+    checker.viability_mask(AB.seq((1,)))
+    for ids in [(4,), (1, 1), (0, 4), (2, 4, 0)]:
+        for _ in range(2):  # the answer is not cached away
+            with pytest.raises(NonViablePrefixError):
+                checker.viability_mask(AB.seq(ids))
+    assert not checker.is_complete(AB.seq((1, 1, 5)))
+    assert checker.is_complete(AB.seq((2, 0, 5)))

@@ -12,6 +12,7 @@ from exsample import (
     UpdateStrategy,
     Vocabulary,
     condition,
+    draw_index,
     enumerate_lm,
     gcd_sample,
     invalid_set,
@@ -383,6 +384,64 @@ def test_gcd_horizon_discard():
     assert list(stream) == []
     assert metrics.accepted == 0
     assert metrics.gcd_discards == metrics.generations == 20
+
+
+def _gcd_instance(name, arith_lm, arith_checker):
+    if name == "arith":
+        return arith_lm, arith_checker
+    from exsample import TableLM
+
+    vocab = Vocabulary.from_tokens(["a", "b", "ab", "ba", "$"], eos=4)
+    contexts = {(1,): [0.2, 0.4, 0.1, 0.1, 0.2], (0, 2): [0.1, 0.3, 0.3, 0.2, 0.1]}
+    lm = TableLM(vocab, contexts, [0.3, 0.3, 0.15, 0.15, 0.1], max_len=6)
+    return lm, _no_bb_checker(vocab)
+
+
+@pytest.mark.parametrize("instance", ["arith", "dfa"])
+def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith_checker):
+    """gcd's cached draw tables give the same tokens as renormalizing
+    ``dist.probs * mask`` afresh at every step with ``np.cumsum``, fed the
+    same uniforms, when one cache serves many samples."""
+    lm, checker = _gcd_instance(instance, arith_lm, arith_checker)
+    cfg = cfg_for(lm, "gcd")
+    rng = make_rng(31)
+    ref_rng = make_rng(31)
+    tables: dict = {}
+    for _ in range(300):
+        trace = gcd_sample(lm, checker, cfg, rng, tables)
+        ref_ids = []
+        while True:
+            prefix = Sequence(tuple(ref_ids), False)
+            allowed = lm.next_distribution(prefix).probs * checker.viability_mask(prefix)
+            if allowed.sum() <= 0.0:  # horizon dead end
+                assert len(ref_ids) == lm.max_len and not trace.tokens.terminated
+                break
+            probs = allowed / allowed.sum()
+            token = draw_index(probs, np.cumsum(probs), ref_rng.random())
+            ref_ids.append(token)
+            if token == lm.vocab.eos:
+                break
+        assert trace.tokens.ids == tuple(ref_ids)
+        assert trace.accepted == (trace.tokens.terminated and checker.is_complete(trace.tokens))
+    # each entry holds the two objects whose ids key it, so no id is reused
+    assert all(key == (id(entry[0]), id(entry[1])) for key, entry in tables.items())
+
+
+def test_gcd_horizon_dead_end_trace_with_shared_cache():
+    from exsample import TableLM
+
+    vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
+    lm = TableLM(vocab, {}, [0.9, 0.1], max_len=2)
+    checker = EarleyChecker(parse_grammar('S : "a" "a" "a"\n'), vocab)
+    cfg = SamplerConfig(method="gcd", seed=1, max_len=2)
+    rng = make_rng(1)
+    tables: dict = {}
+    for _ in range(3):  # the dead-end entry is served from the cache after the first
+        trace = gcd_sample(lm, checker, cfg, rng, tables)
+        assert trace.tokens == Sequence((0, 0), False)
+        assert not trace.accepted
+        assert trace.lm_calls == len(trace.step_dists) == len(trace.step_masks) == 3
+        assert trace.step_dists[-1] is lm.next_distribution(Sequence((0, 0), False))
 
 
 def test_gcd_exact_methods_beat_it_on_kl(arith_lm, arith_checker):
