@@ -10,6 +10,8 @@ grows the trie according to an update strategy:
   cars  adds every invalid one-token continuation of every viable prefix
         visited, on accepted samples too
 
+An update is a list of sibling groups, each a viable prefix and its invalid
+one-token continuations, and the trie inserts each group in one batch.
 rsft and cars mark each prefix they sweep in the trie and skip it on later
 traces: its invalid continuations are leaves already.
 
@@ -162,12 +164,16 @@ def _swept_prefix(trace: SampleTrace, strategy: UpdateStrategy) -> tuple[int, ..
 
 def invalid_set(
     trace: SampleTrace,
-    checker: ConstraintChecker,
     strategy: UpdateStrategy,
     trie: InvalidPrefixTrie | None = None,
-) -> list[tuple[Sequence, tuple[NextTokenDistribution, ...]]]:
-    """The invalid prefixes a strategy derives from one trace, each with the
-    step distributions needed to insert it.
+) -> list[tuple[tuple[int, ...], tuple[NextTokenDistribution, ...], list[int]]]:
+    """The invalid prefixes a strategy derives from one trace, grouped by
+    parent: each group ``(base, dists, tokens)`` stands for the prefixes
+    ``base + (t,)`` for t in ``tokens`` (ascending), and ``dists`` holds
+    the step distributions along ``base`` plus the one at ``base``, as
+    ``InvalidPrefixTrie.insert_invalid_children`` takes them.  ars gives
+    at most one single-token group; rsft and cars give one group per
+    swept prefix, possibly with no tokens.
 
     Edge probabilities come from the trace's recorded conditionals; a
     prefix branching off the sampled path at step i reuses step i's
@@ -175,22 +181,18 @@ def invalid_set(
     is given, the continuations of prefixes it has already swept are left
     out: they are leaves already, so inserting them again is a no-op.
     """
-    eos = checker.vocab.eos
     ids = trace.tokens.ids
     masks = trace.step_masks
     dists = trace.step_dists
-    out: list[tuple[Sequence, tuple[NextTokenDistribution, ...]]] = []
 
     if strategy is UpdateStrategy.RS:
-        return out
+        return []
 
     if strategy is UpdateStrategy.ARS:
         if trace.accepted:
-            return out
+            return []
         k = len(masks)  # prefix ids[:k-1] was viable, ids[:k] is not
-        u = Sequence(ids[:k], k == len(ids) and trace.tokens.terminated)
-        out.append((u, dists[:k]))
-        return out
+        return [(ids[: k - 1], dists[:k], [ids[k - 1]])]
 
     # rsft: every invalid first token, whatever was sampled.  cars: every
     # invalid one-token continuation of every visited viable prefix; this
@@ -198,13 +200,10 @@ def invalid_set(
     # rejected, and applies unchanged to accepted samples.
     swept = _swept_prefix(trace, strategy)
     first = 0 if trie is None else trie.swept_depth(swept)
-    for i in range(first, len(swept) + 1):
-        base = ids[:i]
-        for token in np.flatnonzero(~masks[i]):
-            token = int(token)
-            u = Sequence(base + (token,), token == eos)
-            out.append((u, dists[: i + 1]))
-    return out
+    return [
+        (ids[:i], dists[: i + 1], np.flatnonzero(~masks[i]).tolist())
+        for i in range(first, len(swept) + 1)
+    ]
 
 
 def _masked_tables(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
@@ -310,8 +309,8 @@ def run(
             trace = sample_one(lm, checker, trie, cfg, rng)
             metrics.generations += 1
             previous = trie.root.p
-            for u, edge_dists in invalid_set(trace, checker, strategy, trie):
-                trie.insert_invalid(u, edge_dists)
+            for base, edge_dists, tokens in invalid_set(trace, strategy, trie):
+                trie.insert_invalid_children(base, edge_dists, tokens)
             swept = _swept_prefix(trace, strategy)
             if swept is not None:
                 trie.mark_swept(swept)

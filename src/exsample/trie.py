@@ -8,6 +8,11 @@ to 0 and propagates the decrease upward, scaled by the cached edge
 probabilities, so the root value is always the total mass of sequences
 avoiding the invalid set.
 
+Inserts come in sibling batches: one walk down to a node turns any number
+of its one-token continuations into leaves, and every node on the path
+then subtracts their decreases one at a time, in token order, so p ends
+up with the same bits as after inserting the prefixes one by one.
+
 Each node drawn from keeps its reweighted conditional and running sums
 as Python lists until an insert changes p at or below it, so a step
 through an unchanged node costs one ``bisect``.  A viable node whose
@@ -47,6 +52,13 @@ _DRIFT = 1e-12      # p excursions beyond [0,1] by more than this are bugs
 _SUM_TOL = 1e-8     # reweighted vectors must sum to 1 within this
 
 
+# Batches of at least this many decreases are subtracted level by level
+# with numpy.  Timed on paths of 2-8 nodes (x86 Xeon, Python 3.11, numpy
+# 2.4), the Python loop wins below 28-32 decreases and numpy is 5-8x faster
+# at the ~730 of a cars batch on a V=1024 model.
+_ACCUMULATE_MIN = 32
+
+
 def _clamped(p: float) -> float:
     if p < 0.0:
         if p >= -_DRIFT:
@@ -59,6 +71,31 @@ def _clamped(p: float) -> float:
     return p
 
 
+def _edge_changed(
+    prefix: tuple[int, ...], token: int, cached: float, edge: float
+) -> TrieCorruptionError:
+    return TrieCorruptionError(
+        f"edge probability for token {token} after prefix {prefix} "
+        f"changed from {cached!r} to {edge!r}"
+    )
+
+
+def _subtract_in_turn(p: float, deltas: np.ndarray) -> float:
+    """``p`` minus each of the non-negative ``deltas`` in turn, each
+    intermediate value clamped, as inserting the prefixes one by one does.
+
+    ``np.subtract.accumulate`` subtracts left to right in float64, so it
+    yields the same bits whenever no clamp fires; the running value only
+    falls, so that is the case when the last value is not negative.
+    """
+    last = float(np.subtract.accumulate(np.concatenate(([p], deltas)))[-1])
+    if last >= 0.0:
+        return last
+    for d in deltas.tolist():
+        p = _clamped(p - d)
+    return p
+
+
 # Childless nodes (almost all of them are leaves) share one read-only empty
 # mapping instead of holding an empty dict each.
 _NO_CHILDREN: Mapping[int, "TrieNode"] = MappingProxyType({})
@@ -67,11 +104,13 @@ _NO_CHILDREN: Mapping[int, "TrieNode"] = MappingProxyType({})
 class TrieNode:
     __slots__ = ("children", "edge_prob", "p", "is_invalid_leaf", "swept", "tables")
 
-    def __init__(self, edge_prob: float) -> None:
+    def __init__(
+        self, edge_prob: float, p: float = 1.0, is_invalid_leaf: bool = False
+    ) -> None:
         self.children: Mapping[int, TrieNode] = _NO_CHILDREN
         self.edge_prob = edge_prob  # P(ua|u) for the edge into this node
-        self.p = 1.0
-        self.is_invalid_leaf = False
+        self.p = p
+        self.is_invalid_leaf = is_invalid_leaf
         self.swept = False  # every invalid one-token continuation is a leaf
         self.tables = None  # (dist, probs, cum) from the last draw_tables
 
@@ -101,14 +140,39 @@ class InvalidPrefixTrie:
         of existing nodes prunes the subtree below it.
         """
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
-        dists = list(step_dists)
-        if len(dists) != len(ids):
-            raise ValueError("need one step distribution per token of the prefix")
         if not ids:
             raise ValueError("cannot insert the empty prefix as invalid")
+        return self.insert_invalid_children(ids[:-1], step_dists, [ids[-1]])
+
+    def insert_invalid_children(
+        self,
+        base: Iterable[int],
+        step_dists: Iterable[NextTokenDistribution],
+        tokens: Iterable[int],
+    ) -> float:
+        """Record ``base + (t,)`` as invalid for every t in ``tokens``;
+        returns the total decrease of the root value.
+
+        The batch has the effect, bit for bit, of inserting each prefix on
+        its own with ``insert_invalid``, t ascending: the path to ``base``
+        is walked once, and every ancestor applies the per-token decreases
+        one at a time, in that order.  ``step_dists`` has one conditional
+        per token of ``base`` plus the one at ``base``, from which all the
+        new edges are read.  No tokens, or a ``base`` covered by a leaf,
+        change nothing.  A cached edge probability that disagrees with
+        ``step_dists`` raises ``TrieCorruptionError`` before anything
+        changes.
+        """
+        base = tuple(base)
+        dists = list(step_dists)
+        if len(dists) != len(base) + 1:
+            raise ValueError("need one step distribution per token of the prefix")
+        tokens = sorted(tokens)
+        if not tokens:
+            return 0.0
         path = [self.root]
         node = self.root
-        for token, dist in zip(ids, dists):
+        for depth, (token, dist) in enumerate(zip(base, dists)):
             if node.is_invalid_leaf:
                 return 0.0
             edge = float(dist.probs[token])
@@ -120,27 +184,63 @@ class InvalidPrefixTrie:
                 node.children[token] = child
                 self.n_nodes += 1
             elif abs(child.edge_prob - edge) > _EDGE_TOL:
-                raise TrieCorruptionError(
-                    f"edge probability for token {token} changed from "
-                    f"{child.edge_prob!r} to {edge!r}"
-                )
+                raise _edge_changed(base[:depth], token, child.edge_prob, edge)
             node = child
             path.append(node)
         if node.is_invalid_leaf:
             return 0.0
-        if node.children:
-            # a longer prefix was inserted earlier; u dominates it now
-            self.n_nodes -= sum(1 for _ in self._walk(node)) - 1
-            node.children = _NO_CHILDREN
-        delta = node.p
-        node.p = 0.0
-        node.is_invalid_leaf = True
-        node.tables = None
-        for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
-            delta *= child.edge_prob
-            parent.p = _clamped(parent.p - delta)
-            parent.tables = None
-        return delta
+
+        edges = dists[-1].probs[tokens].tolist()
+        children = node.children
+        # check every existing child, leaves included, before changing any
+        if children:
+            for token, edge in zip(tokens, edges):
+                child = children.get(token)
+                if child is not None and abs(child.edge_prob - edge) > _EDGE_TOL:
+                    raise _edge_changed(base, token, child.edge_prob, edge)
+
+        # each new leaf's removed mass, scaled by the edge into it
+        deltas = []
+        if not children:
+            children = node.children = {}
+        created = 0
+        for token, edge in zip(tokens, edges):
+            child = children.get(token)
+            if child is None:
+                children[token] = TrieNode(edge, 0.0, True)
+                created += 1
+                deltas.append(edge)  # its p was 1
+                continue
+            if child.is_invalid_leaf:
+                continue
+            if child.children:
+                # a longer prefix was inserted earlier; base+t dominates it
+                self.n_nodes -= sum(1 for _ in self._walk(child)) - 1
+                child.children = _NO_CHILDREN
+            deltas.append(child.p * child.edge_prob)
+            child.p = 0.0
+            child.is_invalid_leaf = True
+            child.tables = None
+        self.n_nodes += created
+        if not deltas:
+            return 0.0
+
+        for ancestor in path:
+            ancestor.tables = None
+        if len(deltas) < _ACCUMULATE_MIN:
+            removed = 0.0
+            for d in deltas:
+                for ancestor in reversed(path):
+                    ancestor.p = _clamped(ancestor.p - d)
+                    d *= ancestor.edge_prob  # 1 at the root
+                removed += d
+            return removed
+        # level by level: each ancestor still sees the decreases in token order
+        deltas = np.array(deltas)
+        for ancestor in reversed(path):
+            ancestor.p = _subtract_in_turn(ancestor.p, deltas)
+            deltas *= ancestor.edge_prob
+        return float(deltas.sum())
 
     def p_value(self, u: Sequence | Iterable[int]) -> float:
         """p for any sequence: stored when tracked, 0 below a leaf, else 1."""

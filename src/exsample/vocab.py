@@ -20,12 +20,6 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def prefix(self, k: int) -> "Sequence":
-        """The first k tokens (open unless k covers a terminating eos)."""
-        if k >= len(self.ids):
-            return self
-        return Sequence(self.ids[:k], False)
-
 
 @dataclass(frozen=True)
 class Vocabulary:

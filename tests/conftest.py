@@ -48,3 +48,13 @@ def step_dists(lm, ids):
     from exsample import Sequence
 
     return [lm.next_distribution(Sequence(tuple(ids[:i]), False)) for i in range(len(ids))]
+
+
+def invalid_prefixes(groups, eos):
+    """invalid_set's sibling groups expanded to one (ids, dists, terminated)
+    per invalid prefix, in insertion order; dists runs along ids."""
+    return [
+        (base + (t,), dists, t == eos)
+        for base, dists, tokens in groups
+        for t in tokens
+    ]

@@ -35,7 +35,7 @@ from exsample import (
     sample_one,
     sequence_probability,
 )
-from conftest import step_dists
+from conftest import invalid_prefixes, step_dists
 
 TRAJECTORIES: list[tuple[str, list[float]]] = []
 
@@ -221,8 +221,9 @@ def test_criterion_2_per_iteration_exactness(arith_lm, arith_checker):
             if trie.p_eps <= 0:
                 break
             trace = sample_one(lm, checker, trie, cfg, rng)
-            for u, dists in invalid_set(trace, checker, UpdateStrategy.CARS):
-                trie.insert_invalid(u, dists)
+            groups = invalid_set(trace, UpdateStrategy.CARS)
+            for ids, dists, _ in invalid_prefixes(groups, lm.vocab.eos):
+                trie.insert_invalid(ids, dists)
     _report(
         2,
         "trie-reweighted member probabilities equal P(w)/p_eps to 1e-9 at 5 states per instance",

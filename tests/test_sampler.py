@@ -22,6 +22,7 @@ from exsample import (
     sample_one,
     sequence_probability,
 )
+from conftest import invalid_prefixes
 
 
 def cfg_for(lm, method="rs", seed=1, cap=100000):
@@ -165,44 +166,49 @@ def test_sample_one_requires_mass(arith_lm, arith_checker):
 
 # -- invalid_set ---------------------------------------------------------------
 
+def _invalid(trace, strategy, vocab):
+    return invalid_prefixes(invalid_set(trace, strategy), vocab.eos)
+
+
 def test_rs_never_updates(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
-    assert invalid_set(trace, arith_checker, UpdateStrategy.RS) == []
+    assert invalid_set(trace, UpdateStrategy.RS) == []
 
 
 def test_ars_adds_shortest_invalid_prefix(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 2, 3))
-    out = invalid_set(trace, arith_checker, UpdateStrategy.ARS)
-    assert [u.ids for u, _ in out] == [(0, 2, 2)]
-    (u, dists), = out
+    out = _invalid(trace, UpdateStrategy.ARS, arith_lm.vocab)
+    assert [ids for ids, _, _ in out] == [(0, 2, 2)]
+    (ids, dists, _), = out
     assert len(dists) == 3
 
 
 def test_ars_skips_accepted(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
-    assert invalid_set(trace, arith_checker, UpdateStrategy.ARS) == []
+    assert invalid_set(trace, UpdateStrategy.ARS) == []
 
 
 def test_ars_rejected_at_eos_adds_whole_sequence(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 3))  # "0+$" incomplete sum
-    out = invalid_set(trace, arith_checker, UpdateStrategy.ARS)
-    assert [u.ids for u, _ in out] == [(0, 2, 3)]
-    assert out[0][0].terminated
+    out = _invalid(trace, UpdateStrategy.ARS, arith_lm.vocab)
+    assert [ids for ids, _, _ in out] == [(0, 2, 3)]
+    (_, _, terminated), = out
+    assert terminated
 
 
 def test_rsft_adds_invalid_first_tokens(arith_lm, arith_checker):
     rejected = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
     accepted = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
     for trace in (rejected, accepted):
-        out = invalid_set(trace, arith_checker, UpdateStrategy.RSFT)
-        assert [u.ids for u, _ in out] == [(2,), (3,)]
+        out = _invalid(trace, UpdateStrategy.RSFT, arith_lm.vocab)
+        assert [ids for ids, _, _ in out] == [(2,), (3,)]
 
 
 def test_cars_sweeps_every_visited_viable_prefix(arith_lm, arith_checker):
     # accepted sample: the sweep applies even though nothing was rejected
     trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
-    out = invalid_set(trace, arith_checker, UpdateStrategy.CARS)
-    got = [u.ids for u, _ in out]
+    out = _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab)
+    got = [ids for ids, _, _ in out]
     assert got == [
         (2,), (3,),            # at the root
         (0, 0), (0, 1),        # after "0"
@@ -216,7 +222,7 @@ def test_cars_sweeps_every_visited_viable_prefix(arith_lm, arith_checker):
 
 def test_cars_rejected_covers_shortest_invalid(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
-    got = [u.ids for u, _ in invalid_set(trace, arith_checker, UpdateStrategy.CARS)]
+    got = [ids for ids, _, _ in _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab)]
     assert (0, 2, 2) in got          # the rejected path's shortest invalid prefix
     assert all(len(ids) <= 3 for ids in got)  # nothing below the first failure
 
@@ -228,8 +234,9 @@ def test_every_emitted_prefix_is_invalid(arith_lm, arith_checker):
     for _ in range(200):
         trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
         for strategy in UpdateStrategy:
-            for u, dists in invalid_set(trace, arith_checker, strategy):
-                assert len(dists) == len(u.ids)
+            for ids, dists, terminated in _invalid(trace, strategy, arith_lm.vocab):
+                assert len(dists) == len(ids)
+                u = Sequence(ids, terminated)
                 if u.terminated:
                     assert not arith_checker.is_complete(u)
                 else:
@@ -245,9 +252,9 @@ def test_cars_edge_probs_line_up_with_model(arith_lm, arith_checker):
     cfg = cfg_for(arith_lm)
     rng = make_rng(5)
     trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
-    for u, dists in invalid_set(trace, arith_checker, UpdateStrategy.CARS):
+    for ids, dists, _ in _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab):
         for i, d in enumerate(dists):
-            want = arith_lm.next_distribution(Sequence(u.ids[:i], False))
+            want = arith_lm.next_distribution(Sequence(ids[:i], False))
             assert d is want or np.array_equal(d.probs, want.probs)
 
 
@@ -309,8 +316,8 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     strategy = UpdateStrategy(method)
     for dump in dumps:
         trace = sample_one(lm, checker, trie, cfg, rng)
-        for u, dists in invalid_set(trace, checker, strategy):
-            trie.insert_invalid(u, dists)
+        for ids, dists, _ in invalid_prefixes(invalid_set(trace, strategy), lm.vocab.eos):
+            trie.insert_invalid(ids, dists)
         assert trie.dump() == dump
 
 

@@ -14,6 +14,15 @@ from exsample import (
     load_snapshot,
     sequence_probability,
 )
+from exsample.trie import (
+    _ACCUMULATE_MIN,
+    _DRIFT,
+    _EDGE_TOL,
+    _NO_CHILDREN,
+    TrieNode,
+    _clamped,
+    _subtract_in_turn,
+)
 from conftest import step_dists
 
 # invalid-prefix families for the arithmetic figure, as token ids over
@@ -95,6 +104,161 @@ def test_edge_probability_mismatch_fails_loudly(arith_lm):
     wrong = step_dists(arith_lm, [0, 0])  # second dist is for context "0"
     with pytest.raises(TrieCorruptionError, match="edge probability"):
         trie.insert_invalid(arith_lm.vocab.seq([0, 2]), [wrong[0], wrong[0]])
+
+
+def test_edge_probability_mismatch_names_prefix_and_token(arith_lm):
+    trie, _ = build(arith_lm, ARS_INSERT)
+    root, after_0 = step_dists(arith_lm, [0, 0])
+    # the existing child (0, 2) met with the root's conditional
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0,\)"):
+        trie.insert_invalid_children((0,), [root, root], [2])
+    # the path walk meets the existing node (0,) with the conditional at "0"
+    with pytest.raises(TrieCorruptionError, match=r"token 0 after prefix \(\) "):
+        trie.insert_invalid_children((0,), [after_0, after_0], [1])
+
+
+def test_edge_probability_mismatch_at_a_leaf_changes_nothing(arith_lm):
+    trie, _ = build(arith_lm, ARS_INSERT)
+    before, n_nodes = trie.dump(), trie.n_nodes
+    root, after_0, after_02 = step_dists(arith_lm, [0, 2, 2])
+    assert abs(root.probs[2] - after_02.probs[2]) > _EDGE_TOL
+    # (0, 2, 2) is a leaf met with the root's conditional; token 1 sorts
+    # before it and would be a new leaf
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\)"):
+        trie.insert_invalid_children((0, 2), [root, after_0, root], [1, 2])
+    assert trie.dump() == before
+    assert trie.n_nodes == n_nodes
+
+
+def _count(node):
+    return 1 + sum(_count(child) for child in node.children.values())
+
+
+def _insert_one_by_one(trie, ids, dists):
+    """The insert the sibling batch replaced, one prefix per call: the
+    reference ``insert_invalid_children`` must match bit for bit."""
+    path = [trie.root]
+    node = trie.root
+    for token, dist in zip(ids, dists):
+        if node.is_invalid_leaf:
+            return 0.0
+        edge = float(dist.probs[token])
+        child = node.children.get(token)
+        if child is None:
+            child = TrieNode(edge)
+            if not node.children:
+                node.children = {}
+            node.children[token] = child
+            trie.n_nodes += 1
+        else:
+            assert abs(child.edge_prob - edge) <= _EDGE_TOL
+        node = child
+        path.append(node)
+    if node.is_invalid_leaf:
+        return 0.0
+    if node.children:
+        trie.n_nodes -= _count(node) - 1
+        node.children = _NO_CHILDREN
+    delta = node.p
+    node.p = 0.0
+    node.is_invalid_leaf = True
+    for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
+        delta *= child.edge_prob
+        parent.p = _clamped(parent.p - delta)
+    return delta
+
+
+def _tracked(trie, ids):
+    """The node at ``ids`` and whether a leaf covers a proper prefix of it."""
+    node = trie.root
+    for token in ids:
+        if node.is_invalid_leaf:
+            return None, True
+        node = node.children.get(token)
+        if node is None:
+            return None, False
+    return node, False
+
+
+@pytest.mark.parametrize("size, horizon", [(5, 5), (40, 4)])
+def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
+    """Random sibling groups, batched into one trie and inserted prefix by
+    prefix into another: same dump, bit for bit, and same node count."""
+    seen = set()
+    for seed in range(6):
+        lm = _random_lm(seed, size=size, horizon=horizon)
+        rng = np.random.default_rng(seed)
+        batched, reference = InvalidPrefixTrie(), InvalidPrefixTrie()
+        for _ in range(40):
+            depth = int(rng.integers(0, horizon - 1))
+            base = tuple(int(t) for t in rng.integers(0, size - 1, size=depth))
+            k = int(rng.integers(0, size + 1))
+            tokens = [int(t) for t in rng.choice(size, size=k, replace=False)]
+            dists = step_dists(lm, base + (0,))
+
+            node, covered = _tracked(reference, base)
+            if not tokens:
+                seen.add("empty")
+            elif covered or (node is not None and node.is_invalid_leaf):
+                seen.add("base below a leaf")
+            elif node is not None:
+                for t in tokens:
+                    child = node.children.get(t)
+                    if child is not None and child.is_invalid_leaf:
+                        seen.add("already a leaf")
+                    elif child is not None and child.children:
+                        seen.add("deeper subtree")
+            if lm.vocab.eos in tokens:
+                seen.add("eos")
+            if len(tokens) >= _ACCUMULATE_MIN:
+                seen.add("long")
+
+            got = batched.insert_invalid_children(base, dists, tokens)
+            want = sum(
+                _insert_one_by_one(reference, base + (t,), dists) for t in sorted(tokens)
+            )
+            assert abs(got - want) <= _DRIFT
+            assert batched.dump() == reference.dump()
+            assert batched.n_nodes == reference.n_nodes
+            batched.check_local_consistency()
+    want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "base below a leaf"}
+    assert want_seen <= seen
+    assert ("long" in seen) == (size >= _ACCUMULATE_MIN)
+
+
+def test_accumulated_subtraction_matches_the_loop():
+    """np.subtract.accumulate, back to the loop when a clamp fires, against
+    the loop that clamps after every subtraction."""
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = float(rng.random())
+        # decreases summing to a little less than p, to p up to rounding, or
+        # to a little more; then a tail of decreases below the clamp's
+        # tolerance, which the loop absorbs one by one at 0 but which can
+        # add up to more than the tolerance
+        scale = 1.0 + float(rng.choice([-1e-3, 0.0, 1e-3]))
+        body = rng.dirichlet(np.ones(int(rng.integers(16, 64)))) * p * scale
+        tail = np.full(int(rng.integers(0, 30)), _DRIFT / 4)
+        deltas = np.concatenate((body, tail))
+
+        def outcome(subtract):
+            try:
+                return subtract()
+            except TrieCorruptionError as err:
+                return str(err)
+
+        def loop():
+            value = p
+            for d in deltas.tolist():
+                value = _clamped(value - d)
+            return value
+
+        want = outcome(loop)
+        got = outcome(lambda: _subtract_in_turn(p, deltas))
+        assert got == want and type(got) is type(want)
+        outcomes.add("raised" if isinstance(got, str) else "zero" if got == 0.0 else "kept")
+    assert outcomes == {"raised", "zero", "kept"}
 
 
 def test_swept_marks_tracked_prefixes_only(arith_lm):
