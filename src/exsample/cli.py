@@ -7,14 +7,13 @@ across runs and platforms.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .constraints import load_constraint
-from .lm import LanguageModel, RemoteLM, load_ngram_lm, table_lm_from_doc
+from .lm import LanguageModel, RemoteLM, ngram_lm_from_doc, table_lm_from_doc
 from .metrics import (
     RunMetrics,
     bootstrap_ci,
@@ -72,9 +71,7 @@ def load_lm(cfg: ExperimentConfig) -> LanguageModel:
     if cfg.horizon is not None:
         doc["horizon"] = cfg.horizon
     if "corpus" in doc:
-        if "order" not in doc:
-            raise ValueError(f"{src}: corpus document is missing 'order'")
-        return load_ngram_lm(io.StringIO(json.dumps(doc)))
+        return ngram_lm_from_doc(doc)
     return table_lm_from_doc(doc)
 
 

@@ -179,6 +179,21 @@ def _parse_context_key(key: str, vocab: Vocabulary) -> tuple[int, ...]:
     return vocab.seq(ids).ids
 
 
+def _read_doc(source: str | Path | IO[str], kind: str) -> dict:
+    """The JSON object in ``source`` (path or open file)."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = Path(source).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document must be a JSON object")
+    return doc
+
+
 def table_lm_from_doc(doc: Mapping) -> TableLM:
     """Build a TableLM from a parsed table-LM document (see README format)."""
     for field in ("tokens", "eos", "horizon", "default"):
@@ -194,19 +209,19 @@ def table_lm_from_doc(doc: Mapping) -> TableLM:
     return TableLM(vocab, contexts, default, horizon)
 
 
+def ngram_lm_from_doc(doc: Mapping) -> NGramLM:
+    """Build an NGramLM from a parsed corpus document (see README format)."""
+    for field in ("tokens", "eos", "order", "horizon", "corpus"):
+        if field not in doc:
+            raise ValueError(f"n-gram LM document is missing {field!r}")
+    vocab = Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
+    corpus = [vocab.encode(line) for line in doc["corpus"]]
+    return NGramLM(vocab, int(doc["order"]), corpus, int(doc["horizon"]))
+
+
 def load_table_lm(source: str | Path | IO[str]) -> TableLM:
     """Load a table LM from a JSON document (path or open file)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed table LM document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("table LM document must be a JSON object")
-    return table_lm_from_doc(doc)
+    return table_lm_from_doc(_read_doc(source, "table LM"))
 
 
 class NGramLM(LanguageModel):
@@ -264,21 +279,8 @@ class NGramLM(LanguageModel):
 
 
 def load_ngram_lm(source: str | Path | IO[str]) -> NGramLM:
-    """Load an n-gram LM from a JSON corpus document (see README format)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed n-gram LM document: {exc}") from exc
-    for field in ("tokens", "eos", "order", "horizon", "corpus"):
-        if field not in doc:
-            raise ValueError(f"n-gram LM document is missing {field!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
-    corpus = [vocab.encode(line) for line in doc["corpus"]]
-    return NGramLM(vocab, int(doc["order"]), corpus, int(doc["horizon"]))
+    """Load an n-gram LM from a JSON corpus document (path or open file)."""
+    return ngram_lm_from_doc(_read_doc(source, "n-gram LM"))
 
 
 class RemoteLM(LanguageModel):

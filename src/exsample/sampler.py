@@ -1,21 +1,24 @@
 """Left-to-right constrained samplers.
 
-The rejection family draws whole sequences from the model reweighted to
-avoid the invalid-prefix trie, accepts members of the constraint, and
-grows the trie according to an update strategy:
+All five methods share one loop: draw a whole sequence, accept it if it
+is a member of the constraint, and record invalid prefixes in the trie.
+The rejection family draws from the model reweighted to avoid the trie;
+the methods differ only in what each generation records:
 
-  rs    never updates; plain rejection sampling
-  ars   adds the rejected sample's shortest invalid prefix
-  rsft  adds every invalid first token, whatever was sampled
-  cars  adds every invalid one-token continuation of every viable prefix
+  rs    nothing; plain rejection sampling
+  ars   the rejected sample's shortest invalid prefix
+  rsft  every invalid first token, whatever was sampled
+  cars  every invalid one-token continuation of every viable prefix
         visited, on accepted samples too
+  gcd   nothing; it draws by masking instead (see below), so its trie
+        stays empty and its root mass stays 1
 
 An update is a list of sibling groups, each a viable prefix and its invalid
 one-token continuations, and the trie inserts each group in one batch.
 rsft and cars mark each prefix they sweep in the trie and skip it on later
 traces: its invalid continuations are leaves already.
 
-Any strategy is sound as long as it only ever inserts genuinely invalid
+A rejection method is sound as long as it only ever inserts genuinely invalid
 prefixes; acceptance probability then improves monotonically while the
 accepted-sample distribution stays exactly the constrained one.  Greedy
 constrained decoding (gcd) is the standard biased baseline: mask invalid
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -42,13 +44,6 @@ from .trie import InvalidPrefixTrie, MassExhaustedError, TrieCorruptionError
 from .vocab import Sequence
 
 METHODS = ("rs", "ars", "rsft", "cars", "gcd")
-
-
-class UpdateStrategy(Enum):
-    RS = "rs"
-    ARS = "ars"
-    RSFT = "rsft"
-    CARS = "cars"
 
 
 @dataclass(frozen=True)
@@ -66,10 +61,6 @@ class SamplerConfig:
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
 
-    @property
-    def strategy(self) -> UpdateStrategy | None:
-        return None if self.method == "gcd" else UpdateStrategy(self.method)
-
 
 @dataclass(frozen=True)
 class SampleTrace:
@@ -80,7 +71,10 @@ class SampleTrace:
     accepted: bool
     step_dists: tuple[NextTokenDistribution, ...]
     step_masks: tuple[np.ndarray, ...]
-    lm_calls: int
+
+    @property
+    def lm_calls(self) -> int:
+        return len(self.step_dists)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -135,7 +129,7 @@ def sample_one(
             mask = checker.viability_mask(prefix)
             masks.append(mask)
         if node is not None and node.children:
-            probs, cum = trie.draw_tables(node, dist)
+            probs, cum = trie.draw_tables(node, dist, prefix.ids)
         else:
             probs, cum = dist.draw_tables
         token = draw_index(probs, cum, rng.random())
@@ -148,32 +142,32 @@ def sample_one(
             break
     tokens = Sequence(tuple(ids), True)
     accepted = checker.is_complete(tokens)
-    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks), len(ids))
+    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
 
 
-def _swept_prefix(trace: SampleTrace, strategy: UpdateStrategy) -> tuple[int, ...] | None:
-    """For the strategies that sweep (rsft, cars), the longest prefix of
-    the trace they sweep: they sweep it and each of its prefixes.  None
-    for the others."""
-    if strategy is UpdateStrategy.RSFT:
+def _swept_prefix(trace: SampleTrace, method: str) -> tuple[int, ...] | None:
+    """For the methods that sweep (rsft, cars), the longest prefix of the
+    trace they sweep: they sweep it and each of its prefixes.  None for
+    the others."""
+    if method == "rsft":
         return ()
-    if strategy is UpdateStrategy.CARS:
+    if method == "cars":
         return trace.tokens.ids[: len(trace.step_masks) - 1]
     return None
 
 
 def invalid_set(
     trace: SampleTrace,
-    strategy: UpdateStrategy,
+    method: str,
     trie: InvalidPrefixTrie | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[NextTokenDistribution, ...], list[int]]]:
-    """The invalid prefixes a strategy derives from one trace, grouped by
+    """The invalid prefixes a method derives from one trace, grouped by
     parent: each group ``(base, dists, tokens)`` stands for the prefixes
     ``base + (t,)`` for t in ``tokens`` (ascending), and ``dists`` holds
     the step distributions along ``base`` plus the one at ``base``, as
     ``InvalidPrefixTrie.insert_invalid_children`` takes them.  ars gives
     at most one single-token group; rsft and cars give one group per
-    swept prefix, possibly with no tokens.
+    swept prefix, possibly with no tokens; rs and gcd give none.
 
     Edge probabilities come from the trace's recorded conditionals; a
     prefix branching off the sampled path at step i reuses step i's
@@ -185,10 +179,10 @@ def invalid_set(
     masks = trace.step_masks
     dists = trace.step_dists
 
-    if strategy is UpdateStrategy.RS:
+    if method == "rs" or method == "gcd":
         return []
 
-    if strategy is UpdateStrategy.ARS:
+    if method == "ars":
         if trace.accepted:
             return []
         k = len(masks)  # prefix ids[:k-1] was viable, ids[:k] is not
@@ -198,7 +192,7 @@ def invalid_set(
     # invalid one-token continuation of every visited viable prefix; this
     # includes the trace's own shortest invalid prefix when the trace was
     # rejected, and applies unchanged to accepted samples.
-    swept = _swept_prefix(trace, strategy)
+    swept = _swept_prefix(trace, method)
     first = 0 if trie is None else trie.swept_depth(swept)
     return [
         (ids[:i], dists[: i + 1], np.flatnonzero(~masks[i]).tolist())
@@ -264,7 +258,6 @@ def gcd_sample(
                     False,
                     tuple(dists),
                     tuple(masks),
-                    len(dists),
                 )
             raise RuntimeError(
                 "every token masked at a viable prefix; checker is inconsistent"
@@ -274,7 +267,7 @@ def gcd_sample(
         if token == eos:
             tokens = Sequence(tuple(ids), True)
             return SampleTrace(
-                tokens, checker.is_complete(tokens), tuple(dists), tuple(masks), len(ids)
+                tokens, checker.is_complete(tokens), tuple(dists), tuple(masks)
             )
 
 
@@ -290,8 +283,10 @@ def run(
 
     Returns the lazy stream plus its metrics object; counters and the
     root-mass trajectory fill in as the stream is consumed.  Reaching the
-    cap with too few accepts is an outcome, not an error.  ``trie_hook``,
-    when given, is called as hook(iteration, trie) after every update.
+    cap with too few accepts is an outcome, not an error; a
+    ``TrieCorruptionError`` or ``MassExhaustedError`` raised by the stream
+    names the method, seed and generation.  ``trie_hook``, when given, is
+    called as hook(iteration, trie) after every update.
     """
     if cfg.max_len != lm.max_len:
         raise ValueError(
@@ -300,50 +295,44 @@ def run(
     metrics = RunMetrics(method=cfg.method, seed=cfg.seed)
     rng = make_rng(cfg.seed)
 
-    def rejection_stream() -> Iterator[Sequence]:
+    def stream() -> Iterator[Sequence]:
+        method = cfg.method
         trie = InvalidPrefixTrie()
-        strategy = cfg.strategy
-        while metrics.generations < cfg.sample_cap:
-            if target_valid is not None and metrics.accepted >= target_valid:
-                return
-            trace = sample_one(lm, checker, trie, cfg, rng)
-            metrics.generations += 1
-            previous = trie.root.p
-            for base, edge_dists, tokens in invalid_set(trace, strategy, trie):
-                trie.insert_invalid_children(base, edge_dists, tokens)
-            swept = _swept_prefix(trace, strategy)
-            if swept is not None:
-                trie.mark_swept(swept)
-            if trie.root.p > previous + 1e-12:
-                raise TrieCorruptionError(
-                    f"root mass rose from {previous!r} to {trie.root.p!r}"
-                )
-            metrics.p_eps_trajectory.append(trie.root.p)
-            if trace.accepted:
-                metrics.accepted += 1
-                metrics.accepted_lm_calls.append(trace.lm_calls)
-            metrics.cumulative_accepts.append(metrics.accepted)
-            if trie_hook is not None:
-                trie_hook(metrics.generations, trie)
-            if trace.accepted:
-                yield trace.tokens
+        gcd = method == "gcd"
+        if gcd:
+            draw, args = gcd_sample, (lm, checker, cfg, rng, {})
+        else:
+            draw, args = sample_one, (lm, checker, trie, cfg, rng)
+        sweeps = method == "rsft" or method == "cars"
+        try:
+            for generation in range(1, cfg.sample_cap + 1):
+                if target_valid is not None and metrics.accepted >= target_valid:
+                    return
+                trace = draw(*args)
+                metrics.generations = generation
+                previous = trie.root.p
+                for base, edge_dists, tokens in invalid_set(trace, method, trie):
+                    trie.insert_invalid_children(base, edge_dists, tokens)
+                if sweeps:
+                    trie.mark_swept(_swept_prefix(trace, method))
+                if trie.root.p > previous + 1e-12:
+                    raise TrieCorruptionError(
+                        f"root mass rose from {previous!r} to {trie.root.p!r}"
+                    )
+                metrics.p_eps_trajectory.append(trie.root.p)
+                if trace.accepted:
+                    metrics.accepted += 1
+                    metrics.accepted_lm_calls.append(trace.lm_calls)
+                elif gcd:
+                    metrics.gcd_discards += 1
+                metrics.cumulative_accepts.append(metrics.accepted)
+                if trie_hook is not None:
+                    trie_hook(generation, trie)
+                if trace.accepted:
+                    yield trace.tokens
+        except (TrieCorruptionError, MassExhaustedError) as exc:
+            raise type(exc)(
+                f"{method} seed {cfg.seed} generation {generation}: {exc}"
+            ) from exc
 
-    def gcd_stream() -> Iterator[Sequence]:
-        tables: dict = {}
-        while metrics.generations < cfg.sample_cap:
-            if target_valid is not None and metrics.accepted >= target_valid:
-                return
-            trace = gcd_sample(lm, checker, cfg, rng, tables)
-            metrics.generations += 1
-            metrics.p_eps_trajectory.append(1.0)
-            if trace.accepted:
-                metrics.accepted += 1
-                metrics.accepted_lm_calls.append(trace.lm_calls)
-            else:
-                metrics.gcd_discards += 1
-            metrics.cumulative_accepts.append(metrics.accepted)
-            if trace.accepted:
-                yield trace.tokens
-
-    stream = gcd_stream() if cfg.method == "gcd" else rejection_stream()
-    return stream, metrics
+    return stream(), metrics

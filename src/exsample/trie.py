@@ -273,22 +273,23 @@ class InvalidPrefixTrie:
             if child is None:
                 return dist.probs  # untracked: reduces to the original conditional
             node = child
-        return self._reweight_at(node, dist)
+        return self._reweight_at(node, dist, ids)
 
     def draw_tables(
-        self, node: TrieNode, dist: NextTokenDistribution
+        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
     ) -> tuple[list[float], list[float]]:
-        """The reweighted conditional at a tracked node and its running
-        sums, as lists for an inverse-CDF draw.
+        """The reweighted conditional at the tracked node of prefix ``ids``
+        and its running sums, as lists for an inverse-CDF draw.
 
         Built by the same operations as ``reweight_factors``, checks
         included, and cached on the node until an insert changes p at or
-        below it or ``dist`` is a different object.
+        below it or ``dist`` is a different object.  ``ids`` only names
+        the prefix when a check fails.
         """
         cached = node.tables
         if cached is not None and cached[0] is dist:
             return cached[1], cached[2]
-        probs = self._reweight_at(node, dist)
+        probs = self._reweight_at(node, dist, ids)
         node.tables = (dist, probs.tolist(), np.cumsum(probs).tolist())
         return node.tables[1], node.tables[2]
 
@@ -318,24 +319,24 @@ class InvalidPrefixTrie:
                 return
         node.swept = True
 
-    def _reweight_at(self, node: TrieNode, dist: NextTokenDistribution) -> np.ndarray:
+    def _reweight_at(
+        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
+    ) -> np.ndarray:
         if node.is_invalid_leaf or node.p <= 0.0:
-            raise MassExhaustedError("prefix has no remaining valid mass")
+            raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
         if not node.children:
             return dist.probs
         out = np.array(dist.probs)
         for token, child in node.children.items():
             if abs(child.edge_prob - dist.probs[token]) > _EDGE_TOL:
-                raise TrieCorruptionError(
-                    f"edge probability for token {token} changed from "
-                    f"{child.edge_prob!r} to {dist.probs[token]!r}"
-                )
+                raise _edge_changed(ids, token, child.edge_prob, float(dist.probs[token]))
             out[token] *= child.p
         out /= node.p
         total = float(out.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise TrieCorruptionError(
-                f"reweighted conditional sums to {total!r}; bookkeeping corrupt"
+                f"reweighted conditional after prefix {ids} sums to {total!r}; "
+                "bookkeeping corrupt"
             )
         return out
 

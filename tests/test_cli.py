@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,13 @@ from exsample.cli import ExperimentConfig, main, oracle_report, run_experiment
 
 def _read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+# SHA-256 over the sorted (name, bytes) of the output directory of
+#   exsample run --lm fixtures/arith_lm.json --constraint fixtures/arith.g
+#     --methods rs,ars,rsft,cars,gcd --seeds 1..3 --oracle
+# A change that moves it must say why.
+GOLDEN_DIGEST = "a2052ddb7c5b34edea003d514487e9a5395aa81e98de5dfa150de12444545c33"
 
 
 def _config(fixtures_dir, out, **kw):
@@ -129,7 +137,9 @@ def test_oracle_report_contents(fixtures_dir, capsys):
     assert "constraint mass under the model" in text
     assert "top sequences" in text
     # mass equals 1 minus the total invalid mass of the enumeration
-    from exsample import constrained_mass, enumerate_lm, load_table_lm, load_constraint
+    from exsample import enumerate_lm, load_table_lm
+    from exsample.constraints import load_constraint
+    from exsample.oracle import constrained_mass
 
     lm = load_table_lm(fixtures_dir / "arith_lm.json")
     checker = load_constraint(fixtures_dir / "arith.g", lm.vocab)
@@ -184,3 +194,41 @@ def test_report_subcommand(fixtures_dir, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "constraint mass under the model" in out
+
+
+def _run_args(fixtures_dir, out, *extra):
+    return [
+        "run",
+        "--lm", str(fixtures_dir / "arith_lm.json"),
+        "--constraint", str(fixtures_dir / "arith.g"),
+        "--out", str(out),
+        *extra,
+    ]
+
+
+def test_golden_output_bits(fixtures_dir, tmp_path):
+    out = tmp_path / "out"
+    args = _run_args(fixtures_dir, out, "--methods", "rs,ars,rsft,cars,gcd",
+                     "--seeds", "1..3", "--oracle")
+    assert main(args) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_gcd_dump_trie_writes_root_only_snapshots(fixtures_dir, tmp_path):
+    out = tmp_path / "out"
+    args = _run_args(fixtures_dir, out, "--methods", "gcd", "--seeds", "1",
+                     "--target-valid", "250", "--dump-trie")
+    assert main(args) == 0
+    generations = int((out / "metrics.csv").read_text().splitlines()[1].split(",")[2])
+    assert generations >= 250
+    snapshots = sorted(out.glob("trie_gcd_1_iter*.txt"))
+    assert [p.name for p in snapshots] == [
+        f"trie_gcd_1_iter{i:06d}.txt" for i in range(100, generations + 1, 100)
+    ]
+    # gcd never writes to its trie: the root alone, with all of the mass
+    assert all(p.read_text() == "\t1.0\t0\n" for p in snapshots)

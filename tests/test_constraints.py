@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 from exsample import (
     DfaChecker,
     EarleyChecker,
-    Grammar,
     NonViablePrefixError,
-    Sequence,
-    Vocabulary,
-    load_dfa,
     make_dfa,
     parse_grammar,
 )
+from exsample.constraints import load_dfa
+from exsample.grammar import Grammar
+from exsample.vocab import Vocabulary
 
 VOCAB = Vocabulary.from_tokens(["0", "1", "+", "$"], eos=3)
 
@@ -327,7 +326,7 @@ def test_arith_earley_against_bounded_enumeration(arith_checker):
 
 
 def test_empty_language_grammar_rejected_at_construction():
-    from exsample import EmptyLanguageError
+    from exsample.grammar import EmptyLanguageError
 
     hopeless = Grammar("S", (("S", ("S",)),))
     with pytest.raises(EmptyLanguageError):
@@ -378,7 +377,8 @@ def test_dfa_construction_builds_no_mask(monkeypatch):
 
 @pytest.mark.parametrize("method", ["rs", "ars", "rsft", "cars", "gcd"])
 def test_dfa_run_builds_at_most_one_mask_per_state(method, monkeypatch):
-    from exsample import SamplerConfig, TableLM, run
+    from exsample import SamplerConfig, run
+    from exsample.lm import TableLM
 
     built = _count_mask_builds(monkeypatch)
     contexts = {(1,): [0.2, 0.3, 0.1, 0.1, 0.1, 0.2], (0, 3): [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]}

@@ -1,6 +1,7 @@
 import pytest
 
-from exsample import EmptyLanguageError, Grammar, GrammarSyntaxError, parse_grammar
+from exsample import parse_grammar
+from exsample.grammar import EmptyLanguageError, Grammar, GrammarSyntaxError
 from exsample.grammar import reduce_grammar
 
 

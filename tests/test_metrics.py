@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from exsample import (
+from exsample import SamplerConfig, condition, enumerate_lm, run
+from exsample.metrics import (
     RunMetrics,
     bootstrap_ci,
-    condition,
     efficiency_summary,
     empirical_kl,
     empirical_tv,
-    enumerate_lm,
     lm_reference,
-    run,
-    SamplerConfig,
 )
 from exsample.oracle import ExactDistribution
 from exsample.vocab import Sequence
@@ -66,7 +63,7 @@ def test_tv_basics():
 def test_lm_reference_uses_model_probabilities(arith_lm):
     w = arith_lm.vocab.seq([1, 3])
     ref = lm_reference([w, w], arith_lm)
-    from exsample import sequence_probability
+    from exsample.lm import sequence_probability
 
     assert ref.table[w] == sequence_probability(w, arith_lm)
 
@@ -155,7 +152,7 @@ def test_kl_estimator_shrinks_for_every_exact_strategy(arith_lm, arith_checker):
 
 
 def test_rs_mean_generations_near_negative_binomial(arith_lm, arith_checker):
-    from exsample import constrained_mass
+    from exsample.oracle import constrained_mass
 
     q = constrained_mass(enumerate_lm(arith_lm), arith_checker)
     target = 40

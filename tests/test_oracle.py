@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from exsample import (
-    EarleyChecker,
-    InvalidPrefixTrie,
-    NGramLM,
-    Sequence,
-    TableLM,
-    Vocabulary,
-    condition,
-    constrained_mass,
-    dump_distribution,
-    enumerate_lm,
-    exact_p,
-    parse_grammar,
-)
+from exsample import EarleyChecker, Sequence, condition, enumerate_lm, parse_grammar
+from exsample.lm import NGramLM, TableLM
+from exsample.oracle import constrained_mass, dump_distribution, exact_p
+from exsample.trie import InvalidPrefixTrie
+from exsample.vocab import Vocabulary
 from exsample.oracle import StateSpaceError
 from conftest import step_dists
 

@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from exsample import RemoteLM, TransportError, Vocabulary
+from exsample.lm import RemoteLM, TransportError
+from exsample.vocab import Vocabulary
 
 
 class _LogitHandler(BaseHTTPRequestHandler):

@@ -2,26 +2,29 @@ import numpy as np
 import pytest
 
 from exsample import (
+    METHODS,
     EarleyChecker,
-    InvalidPrefixTrie,
     MassExhaustedError,
     NonViablePrefixError,
     SamplerConfig,
-    SampleTrace,
     Sequence,
-    UpdateStrategy,
-    Vocabulary,
+    TrieCorruptionError,
     condition,
-    draw_index,
     enumerate_lm,
+    parse_grammar,
+    run,
+)
+from exsample.lm import LanguageModel, NextTokenDistribution
+from exsample.sampler import (
+    SampleTrace,
+    draw_index,
     gcd_sample,
     invalid_set,
     make_rng,
-    parse_grammar,
-    run,
     sample_one,
-    sequence_probability,
 )
+from exsample.trie import InvalidPrefixTrie
+from exsample.vocab import Vocabulary
 from conftest import invalid_prefixes
 
 
@@ -45,7 +48,7 @@ def make_trace(lm, checker, ids):
                 viable = False
     tokens = Sequence(tuple(ids), ids[-1] == lm.vocab.eos)
     accepted = tokens.terminated and checker.is_complete(tokens)
-    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks), len(ids))
+    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
 
 
 # -- config -------------------------------------------------------------------
@@ -55,8 +58,6 @@ def test_config_validation():
         SamplerConfig(method="mcmc", seed=1, max_len=5)
     with pytest.raises(ValueError, match="sample_cap"):
         SamplerConfig(method="rs", seed=1, max_len=5, sample_cap=0)
-    assert SamplerConfig(method="cars", seed=1, max_len=5).strategy is UpdateStrategy.CARS
-    assert SamplerConfig(method="gcd", seed=1, max_len=5).strategy is None
 
 
 def test_run_checks_horizon(arith_lm, arith_checker):
@@ -166,18 +167,18 @@ def test_sample_one_requires_mass(arith_lm, arith_checker):
 
 # -- invalid_set ---------------------------------------------------------------
 
-def _invalid(trace, strategy, vocab):
-    return invalid_prefixes(invalid_set(trace, strategy), vocab.eos)
+def _invalid(trace, method, vocab):
+    return invalid_prefixes(invalid_set(trace, method), vocab.eos)
 
 
 def test_rs_never_updates(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
-    assert invalid_set(trace, UpdateStrategy.RS) == []
+    assert invalid_set(trace, "rs") == []
 
 
 def test_ars_adds_shortest_invalid_prefix(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 2, 3))
-    out = _invalid(trace, UpdateStrategy.ARS, arith_lm.vocab)
+    out = _invalid(trace, "ars", arith_lm.vocab)
     assert [ids for ids, _, _ in out] == [(0, 2, 2)]
     (ids, dists, _), = out
     assert len(dists) == 3
@@ -185,12 +186,12 @@ def test_ars_adds_shortest_invalid_prefix(arith_lm, arith_checker):
 
 def test_ars_skips_accepted(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
-    assert invalid_set(trace, UpdateStrategy.ARS) == []
+    assert invalid_set(trace, "ars") == []
 
 
 def test_ars_rejected_at_eos_adds_whole_sequence(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 3))  # "0+$" incomplete sum
-    out = _invalid(trace, UpdateStrategy.ARS, arith_lm.vocab)
+    out = _invalid(trace, "ars", arith_lm.vocab)
     assert [ids for ids, _, _ in out] == [(0, 2, 3)]
     (_, _, terminated), = out
     assert terminated
@@ -200,14 +201,14 @@ def test_rsft_adds_invalid_first_tokens(arith_lm, arith_checker):
     rejected = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
     accepted = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
     for trace in (rejected, accepted):
-        out = _invalid(trace, UpdateStrategy.RSFT, arith_lm.vocab)
+        out = _invalid(trace, "rsft", arith_lm.vocab)
         assert [ids for ids, _, _ in out] == [(2,), (3,)]
 
 
 def test_cars_sweeps_every_visited_viable_prefix(arith_lm, arith_checker):
     # accepted sample: the sweep applies even though nothing was rejected
     trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
-    out = _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab)
+    out = _invalid(trace, "cars", arith_lm.vocab)
     got = [ids for ids, _, _ in out]
     assert got == [
         (2,), (3,),            # at the root
@@ -222,7 +223,7 @@ def test_cars_sweeps_every_visited_viable_prefix(arith_lm, arith_checker):
 
 def test_cars_rejected_covers_shortest_invalid(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
-    got = [ids for ids, _, _ in _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab)]
+    got = [ids for ids, _, _ in _invalid(trace, "cars", arith_lm.vocab)]
     assert (0, 2, 2) in got          # the rejected path's shortest invalid prefix
     assert all(len(ids) <= 3 for ids in got)  # nothing below the first failure
 
@@ -233,8 +234,8 @@ def test_every_emitted_prefix_is_invalid(arith_lm, arith_checker):
     rng = make_rng(11)
     for _ in range(200):
         trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
-        for strategy in UpdateStrategy:
-            for ids, dists, terminated in _invalid(trace, strategy, arith_lm.vocab):
+        for method in METHODS:
+            for ids, dists, terminated in _invalid(trace, method, arith_lm.vocab):
                 assert len(dists) == len(ids)
                 u = Sequence(ids, terminated)
                 if u.terminated:
@@ -252,7 +253,7 @@ def test_cars_edge_probs_line_up_with_model(arith_lm, arith_checker):
     cfg = cfg_for(arith_lm)
     rng = make_rng(5)
     trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
-    for ids, dists, _ in _invalid(trace, UpdateStrategy.CARS, arith_lm.vocab):
+    for ids, dists, _ in _invalid(trace, "cars", arith_lm.vocab):
         for i, d in enumerate(dists):
             want = arith_lm.next_distribution(Sequence(ids[:i], False))
             assert d is want or np.array_equal(d.probs, want.probs)
@@ -261,7 +262,7 @@ def test_cars_edge_probs_line_up_with_model(arith_lm, arith_checker):
 # -- run ----------------------------------------------------------------------
 
 def test_rs_acceptance_matches_language_mass(arith_lm, arith_checker):
-    from exsample import constrained_mass
+    from exsample.oracle import constrained_mass
 
     q = constrained_mass(enumerate_lm(arith_lm), arith_checker)
     stream, metrics = run(arith_lm, arith_checker, cfg_for(arith_lm, "rs", seed=2, cap=20000))
@@ -298,7 +299,7 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     if instance == "arith":
         lm, checker = arith_lm, arith_checker
     else:
-        from exsample import TableLM
+        from exsample.lm import TableLM
 
         vocab = Vocabulary.from_tokens(["a", "b", "ab", "ba", "$"], eos=4)
         contexts = {(1,): [0.2, 0.4, 0.1, 0.1, 0.2], (0, 2): [0.1, 0.3, 0.3, 0.2, 0.1]}
@@ -313,10 +314,9 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
 
     trie = InvalidPrefixTrie()
     rng = make_rng(cfg.seed)
-    strategy = UpdateStrategy(method)
     for dump in dumps:
         trace = sample_one(lm, checker, trie, cfg, rng)
-        for ids, dists, _ in invalid_prefixes(invalid_set(trace, strategy), lm.vocab.eos):
+        for ids, dists, _ in invalid_prefixes(invalid_set(trace, method), lm.vocab.eos):
             trie.insert_invalid(ids, dists)
         assert trie.dump() == dump
 
@@ -340,6 +340,46 @@ def test_mass_exhaustion_raises(arith_lm):
     with pytest.raises(MassExhaustedError):
         list(stream)
     assert metrics.p_eps_trajectory[-1] == 0.0
+
+
+class _DriftingLM(LanguageModel):
+    """Each call returns a new conditional a little off the last one, as a
+    model with nondeterministic numerics would."""
+
+    def __init__(self, base):
+        super().__init__(base.vocab, base.max_len)
+        self._base = base
+        self._calls = 0
+
+    def _conditional(self, ids):
+        self._calls += 1
+        probs = np.array(self._base.next_distribution(Sequence(ids, False)).probs)
+        probs[0] += 1e-6 * self._calls
+        return NextTokenDistribution(probs)
+
+
+@pytest.mark.parametrize("method", ["ars", "cars"])
+def test_trie_corruption_names_method_seed_and_generation(method, arith_lm, arith_checker):
+    lm = _DriftingLM(arith_lm)
+    stream, metrics = run(lm, arith_checker, cfg_for(lm, method, seed=5, cap=500))
+    with pytest.raises(TrieCorruptionError) as info:
+        list(stream)
+    # the first draw through a tracked node after an insert meets a new
+    # conditional: that generation is the one after the last counted
+    generation = metrics.generations + 1
+    assert str(info.value).startswith(f"{method} seed 5 generation {generation}: ")
+    assert "edge probability for token" in str(info.value)
+    assert str(info.value).endswith(str(info.value.__cause__))
+
+
+def test_mass_exhaustion_names_method_seed_and_generation(arith_lm):
+    unreachable = EarleyChecker(parse_grammar('S : "2" "2" "2"\n'), arith_lm.vocab)
+    stream, metrics = run(arith_lm, unreachable, cfg_for(arith_lm, "cars", seed=3, cap=50))
+    with pytest.raises(MassExhaustedError, match=r"^cars seed 3 generation \d+: ") as info:
+        list(stream)
+    assert str(info.value) == (
+        f"cars seed 3 generation {metrics.generations + 1}: {info.value.__cause__}"
+    )
 
 
 def test_target_valid_stops_early(arith_lm, arith_checker):
@@ -383,7 +423,7 @@ def test_gcd_two_word_bias(twoword_lm, twoword_checker):
 
 def test_gcd_horizon_discard():
     vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
-    from exsample import TableLM
+    from exsample.lm import TableLM
 
     lm = TableLM(vocab, {}, [0.9, 0.1], max_len=2)
     checker = EarleyChecker(parse_grammar('S : "a" "a" "a"\n'), vocab)
@@ -396,7 +436,7 @@ def test_gcd_horizon_discard():
 def _gcd_instance(name, arith_lm, arith_checker):
     if name == "arith":
         return arith_lm, arith_checker
-    from exsample import TableLM
+    from exsample.lm import TableLM
 
     vocab = Vocabulary.from_tokens(["a", "b", "ab", "ba", "$"], eos=4)
     contexts = {(1,): [0.2, 0.4, 0.1, 0.1, 0.2], (0, 2): [0.1, 0.3, 0.3, 0.2, 0.1]}
@@ -435,7 +475,7 @@ def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith
 
 
 def test_gcd_horizon_dead_end_trace_with_shared_cache():
-    from exsample import TableLM
+    from exsample.lm import TableLM
 
     vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
     lm = TableLM(vocab, {}, [0.9, 0.1], max_len=2)
@@ -452,7 +492,7 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache():
 
 
 def test_gcd_exact_methods_beat_it_on_kl(arith_lm, arith_checker):
-    from exsample import empirical_kl
+    from exsample.metrics import empirical_kl
 
     oracle = condition(enumerate_lm(arith_lm), arith_checker)
     cfg_g = cfg_for(arith_lm, "gcd", seed=8, cap=20000)

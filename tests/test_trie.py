@@ -2,27 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exsample import (
-    InvalidPrefixTrie,
-    MassExhaustedError,
-    Sequence,
-    TableLM,
-    TrieCorruptionError,
-    Vocabulary,
-    enumerate_lm,
-    exact_p,
-    load_snapshot,
-    sequence_probability,
-)
+from exsample import MassExhaustedError, Sequence, TrieCorruptionError, enumerate_lm
+from exsample.lm import TableLM, sequence_probability
+from exsample.oracle import exact_p
 from exsample.trie import (
     _ACCUMULATE_MIN,
     _DRIFT,
     _EDGE_TOL,
     _NO_CHILDREN,
+    InvalidPrefixTrie,
     TrieNode,
     _clamped,
     _subtract_in_turn,
+    load_snapshot,
 )
+from exsample.vocab import Vocabulary
 from conftest import step_dists
 
 # invalid-prefix families for the arithmetic figure, as token ids over
@@ -128,6 +122,18 @@ def test_edge_probability_mismatch_at_a_leaf_changes_nothing(arith_lm):
         trie.insert_invalid_children((0, 2), [root, after_0, root], [1, 2])
     assert trie.dump() == before
     assert trie.n_nodes == n_nodes
+
+
+def test_reweight_checks_name_the_prefix(arith_lm):
+    trie, _ = build(arith_lm, ARS_INSERT)
+    root, _, after_02 = step_dists(arith_lm, [0, 2, 2])
+    # the leaf (0, 2, 2) met with the root's conditional
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\) "):
+        trie.reweight_factors((0, 2), root)
+    node = trie.root.children[0].children[2]
+    node.p /= 2  # corrupt the bookkeeping
+    with pytest.raises(TrieCorruptionError, match=r"after prefix \(0, 2\) sums to"):
+        trie.draw_tables(node, after_02, (0, 2))
 
 
 def _count(node):
@@ -282,7 +288,7 @@ def test_draw_tables_match_reweight_factors(arith_lm):
                 dist = arith_lm.next_distribution(Sequence(prefix, False))
                 want = trie.reweight_factors(prefix, dist)
                 for _ in range(2):  # built, then served from the cache
-                    probs, cum = trie.draw_tables(node, dist)
+                    probs, cum = trie.draw_tables(node, dist, prefix)
                     assert probs == want.tolist()
                     assert cum == np.cumsum(want).tolist()
 

@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from exsample import (
+from exsample import Sequence, enumerate_lm, load_table_lm
+from exsample.lm import (
     NGramLM,
     NextTokenDistribution,
-    Sequence,
     TableLM,
     TerminatedPrefixError,
-    UnterminatedSequenceError,
-    Vocabulary,
-    enumerate_lm,
-    load_table_lm,
+    load_ngram_lm,
+    ngram_lm_from_doc,
     sequence_probability,
     table_lm_from_doc,
 )
+from exsample.vocab import UnterminatedSequenceError, Vocabulary
 
 
 def test_vocabulary_basics():
@@ -222,3 +221,37 @@ def test_ngram_has_full_support():
     dist = enumerate_lm(lm)
     assert dist.total == pytest.approx(1.0, abs=1e-9)
     assert all(p > 0 for p in dist.table.values())
+
+
+def _corpus_doc():
+    return {
+        "tokens": ["0", "1", "+", "$"],
+        "eos": 3,
+        "order": 2,
+        "horizon": 6,
+        "corpus": ["0+1", "1"],
+    }
+
+
+def test_ngram_lm_from_doc_matches_the_file_loader(tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(_corpus_doc()))
+    from_file = load_ngram_lm(path)
+    from_doc = ngram_lm_from_doc(_corpus_doc())
+    for ids in [(), (0,), (0, 2), (1, 2, 0)]:
+        prefix = from_doc.vocab.seq(ids)
+        assert from_doc.next_distribution(prefix).probs.tolist() == (
+            from_file.next_distribution(prefix).probs.tolist()
+        )
+    assert from_doc.max_len == from_file.max_len == 6
+
+
+def test_load_ngram_lm_errors():
+    doc = _corpus_doc()
+    del doc["order"]
+    with pytest.raises(ValueError, match="n-gram LM document is missing 'order'"):
+        ngram_lm_from_doc(doc)
+    with pytest.raises(ValueError, match="malformed n-gram LM document"):
+        load_ngram_lm(io.StringIO("{not json"))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        load_ngram_lm(io.StringIO("[1, 2]"))
