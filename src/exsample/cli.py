@@ -7,13 +7,12 @@ across runs and platforms.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .constraints import load_constraint
-from .lm import LanguageModel, RemoteLM, ngram_lm_from_doc, table_lm_from_doc
+from .lm import LanguageModel, RemoteLM, ngram_lm_from_doc, read_doc, table_lm_from_doc
 from .metrics import (
     RunMetrics,
     bootstrap_ci,
@@ -54,7 +53,9 @@ class ExperimentConfig:
 
 
 def _load_vocab_doc(path: str) -> Vocabulary:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_doc(path, "vocabulary")
+    if "tokens" not in doc or "eos" not in doc:
+        raise ValueError(f"vocabulary document {path} needs 'tokens' and 'eos'")
     return Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
 
 
@@ -67,7 +68,7 @@ def load_lm(cfg: ExperimentConfig) -> LanguageModel:
         if cfg.horizon is None:
             raise ValueError("a remote model needs an explicit --horizon")
         return RemoteLM(_load_vocab_doc(cfg.vocab), src, cfg.horizon)
-    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    doc = read_doc(src, "LM")
     if cfg.horizon is not None:
         doc["horizon"] = cfg.horizon
     if "corpus" in doc:
@@ -232,7 +233,7 @@ def _parse_seeds(text: str) -> list[int]:
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        doc = read_doc(args.config, "config")
     overrides = {
         "lm": args.lm,
         "constraint": args.constraint,

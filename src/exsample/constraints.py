@@ -5,21 +5,29 @@ prefix u, which tokens a keep u·a inside prefix(L) (the viability mask,
 with the eos bit answering whether u terminated now is a member), and
 whether a terminated sequence is a member.  Tokens are matched by their
 surface bytes, consumed byte-by-byte, so checkers are independent of any
-tokenizer.  Answers are memoized and every mask is returned read-only:
-the Earley checker keys them by prefix, the DFA checker by automaton state,
-so all prefixes that reach one state share one mask.
+tokenizer.
+
+Each backend is a token automaton that defines only ``_start()``,
+``_step(state, token)`` and ``_accepts(state)``.  A state is any hashable
+value; ``None`` is the dead state, which ``_step`` returns once no member
+of L extends the prefix.  The memo lives in one place, the base class: the
+state of every prefix queried, and one read-only mask per live state, so
+all prefixes that reach one state share one mask.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grammar import Grammar, parse_grammar, reduce_grammar, _nullable_set
+from .grammar import Grammar, nullable_set, parse_grammar, reduce_grammar
 from .vocab import Sequence, UnterminatedSequenceError, Vocabulary
+
+_MISSING = object()
 
 
 class NonViablePrefixError(ValueError):
@@ -27,8 +35,13 @@ class NonViablePrefixError(ValueError):
 
 
 class ConstraintChecker(ABC):
+    """A token automaton with the memo of its answers.  A subclass sets up
+    what its ``_start`` needs before it calls this ``__init__``."""
+
     def __init__(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
+        self._states: dict[tuple[int, ...], Hashable | None] = {(): self._start()}
+        self._masks: dict[Hashable, np.ndarray] = {}
 
     def viability_mask(self, u: Sequence) -> np.ndarray:
         """Read-only boolean vector over the vocabulary: bit a iff u·a is
@@ -39,21 +52,57 @@ class ConstraintChecker(ABC):
         """
         if u.terminated:
             raise ValueError("cannot extend a terminated sequence")
-        return self._mask(u.ids)
+        state = self._state(u.ids)
+        if state is None:
+            raise NonViablePrefixError(f"prefix {u.ids} is not viable")
+        mask = self._masks.get(state)
+        if mask is None:
+            mask = self._masks[state] = self._build_mask(state)
+        return mask
 
     def is_complete(self, w: Sequence) -> bool:
         """Membership test for a terminated sequence."""
         if not w.terminated:
             raise UnterminatedSequenceError("membership needs a terminated sequence")
-        return self._is_complete_body(w.ids[:-1])
+        state = self._state(w.ids[:-1])
+        return state is not None and self._accepts(state)
+
+    def _state(self, ids: tuple[int, ...]) -> Hashable | None:
+        """The state of prefix ``ids``, stepped on from its longest
+        memoized prefix; every prefix stepped through is memoized."""
+        state = self._states.get(ids, _MISSING)
+        if state is _MISSING:
+            k = len(ids) - 1
+            while (state := self._states.get(ids[:k], _MISSING)) is _MISSING:
+                k -= 1
+            for k in range(k, len(ids)):
+                if state is not None:
+                    state = self._step(state, ids[k])
+                self._states[ids[: k + 1]] = state
+        return state
+
+    def _build_mask(self, state: Hashable) -> np.ndarray:
+        """The read-only mask of a live state: every token stepped from it."""
+        mask = np.zeros(self.vocab.size, dtype=bool)
+        for token in range(self.vocab.size):
+            if token == self.vocab.eos:
+                mask[token] = self._accepts(state)
+            else:
+                mask[token] = self._step(state, token) is not None
+        mask.flags.writeable = False
+        return mask
 
     @abstractmethod
-    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
-        """Read-only viability mask of the prefix ``ids``."""
+    def _start(self) -> Hashable | None:
+        """The state of the empty prefix."""
 
     @abstractmethod
-    def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
-        """Membership of the sequence whose non-eos tokens are ``ids``."""
+    def _step(self, state: Hashable, token: int) -> Hashable | None:
+        """The state after ``token``'s surface bytes from a live state."""
+
+    @abstractmethod
+    def _accepts(self, state: Hashable) -> bool:
+        """Whether a live state's prefix is itself a member of L."""
 
 
 class EarleyChecker(ConstraintChecker):
@@ -61,25 +110,20 @@ class EarleyChecker(ConstraintChecker):
 
     The grammar is reduced at construction, which makes "chart column
     non-empty" a sound and complete viability test: every live item can
-    then be completed to a member of L.  Charts, masks and membership
-    answers are cached per prefix; charts are extended one token at a time.
+    then be completed to a member of L.  A state is the tuple of chart
+    columns, one per byte read plus the initial one; each column is a
+    frozenset of (production, dot, origin) items.
     """
 
     def __init__(self, grammar: Grammar, vocab: Vocabulary) -> None:
-        super().__init__(vocab)
         grammar, _ = reduce_grammar(grammar)
-        self._accept = "%accept"
-        prods = [(self._accept, (grammar.start,))] + list(grammar.productions)
+        prods = [("%accept", (grammar.start,))] + list(grammar.productions)
         self._prods = prods
         self._by_lhs: dict[str, list[int]] = {}
         for idx, (lhs, _) in enumerate(prods):
             self._by_lhs.setdefault(lhs, []).append(idx)
-        self._nullable = _nullable_set(prods)
-        # chart per prefix: tuple of frozensets of (prod, dot, origin); None = dead
-        self._charts: dict[tuple[int, ...], tuple | None] = {}
-        self._charts[()] = (self._closure([], {(0, 0, 0)}, 0),)
-        self._mask_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._complete_cache: dict[tuple[int, ...], bool] = {}
+        self._nullable = nullable_set(prods)
+        super().__init__(vocab)
 
     def _closure(self, cols: list, seed: set, pos: int) -> frozenset:
         col = set(seed)
@@ -124,57 +168,20 @@ class EarleyChecker(ConstraintChecker):
             return frozenset()
         return self._closure(cols, seed, pos)
 
-    def _feed_token(self, cols: list, token: int) -> list | None:
-        """Extend a column list by one token's surface bytes; None if dead."""
+    def _start(self) -> tuple:
+        return (self._closure([], {(0, 0, 0)}, 0),)
+
+    def _step(self, state: tuple, token: int) -> tuple | None:
+        cols = list(state)
         for byte in self.vocab.surfaces[token]:
             col = self._advance(cols, byte)
             if not col:
                 return None
-            cols = cols + [col]
-        return cols
+            cols.append(col)
+        return tuple(cols)
 
-    def _chart(self, ids: tuple[int, ...]):
-        for k in range(len(ids), -1, -1):
-            if ids[:k] in self._charts:
-                break
-        chart = self._charts[ids[:k]]
-        while k < len(ids):
-            if chart is None:
-                self._charts[ids[: k + 1]] = None
-            else:
-                extended = self._feed_token(list(chart), ids[k])
-                chart = None if extended is None else tuple(extended)
-                self._charts[ids[: k + 1]] = chart
-            k += 1
-        return chart
-
-    def _accepts(self, chart: tuple) -> bool:
-        return (0, 1, 0) in chart[-1]
-
-    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
-        mask = self._mask_cache.get(ids)
-        if mask is None:
-            chart = self._chart(ids)
-            if chart is None:
-                raise NonViablePrefixError(f"prefix {ids} is not viable")
-            mask = np.zeros(self.vocab.size, dtype=bool)
-            cols = list(chart)
-            for token in range(self.vocab.size):
-                if token == self.vocab.eos:
-                    mask[token] = self._accepts(chart)
-                else:
-                    mask[token] = self._feed_token(cols, token) is not None
-            mask.flags.writeable = False
-            self._mask_cache[ids] = mask
-        return mask
-
-    def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
-        got = self._complete_cache.get(ids)
-        if got is None:
-            chart = self._chart(ids)
-            got = chart is not None and self._accepts(chart)
-            self._complete_cache[ids] = got
-        return got
+    def _accepts(self, state: tuple) -> bool:
+        return (0, 1, 0) in state[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +297,13 @@ def _quoted_bytes(text: str, lineno: int) -> bytes:
 
 
 class DfaChecker(ConstraintChecker):
-    """Checker for a regular constraint: viability is co-reachability of the
-    state after reading the prefix bytes, membership is acceptance.
-
-    Each prefix's state is cached.  A co-reachable state's mask is built the
-    first time a prefix reaches that state and then returned, as the same
-    read-only array, for every prefix in that state: at most one mask per
-    co-reachable state, however many prefixes are queried.
+    """Checker for a regular constraint.  A state is the automaton state
+    after the prefix's bytes, live while it is co-reachable; membership is
+    acceptance.  So at most one mask is built per co-reachable state,
+    however many prefixes are queried.
     """
 
     def __init__(self, dfa: DfaConstraint, vocab: Vocabulary) -> None:
-        super().__init__(vocab)
         for tid, surface in enumerate(vocab.surfaces):
             if tid == vocab.eos:
                 continue
@@ -310,44 +313,18 @@ class DfaChecker(ConstraintChecker):
                         f"token {tid} surface byte {bytes([b])!r} outside the DFA alphabet"
                     )
         self.dfa = dfa
-        self._states: dict[tuple[int, ...], int] = {(): dfa.start}
-        self._state_masks: dict[int, np.ndarray] = {}
+        super().__init__(vocab)
 
-    def _state(self, ids: tuple[int, ...]) -> int:
-        got = self._states.get(ids)
-        if got is None:
-            state = self._state(ids[:-1])
-            for b in self.vocab.surfaces[ids[-1]]:
-                state = self.dfa.transitions[(state, b)]
-            self._states[ids] = got = state
-        return got
+    def _start(self) -> int | None:
+        return self.dfa.start if self.dfa.start in self.dfa.co_reachable else None
 
-    def _mask(self, ids: tuple[int, ...]) -> np.ndarray:
-        state = self._state(ids)
-        mask = self._state_masks.get(state)
-        if mask is None:
-            if state not in self.dfa.co_reachable:
-                raise NonViablePrefixError(f"prefix {ids} is not viable")
-            mask = self._state_masks[state] = self._build_mask(state)
-        return mask
+    def _step(self, state: int, token: int) -> int | None:
+        for b in self.vocab.surfaces[token]:
+            state = self.dfa.transitions[(state, b)]
+        return state if state in self.dfa.co_reachable else None
 
-    def _build_mask(self, state: int) -> np.ndarray:
-        """The read-only mask of a co-reachable state: walk every token's
-        surface bytes from it."""
-        mask = np.zeros(self.vocab.size, dtype=bool)
-        for token in range(self.vocab.size):
-            if token == self.vocab.eos:
-                mask[token] = state in self.dfa.accepting
-            else:
-                s = state
-                for b in self.vocab.surfaces[token]:
-                    s = self.dfa.transitions[(s, b)]
-                mask[token] = s in self.dfa.co_reachable
-        mask.flags.writeable = False
-        return mask
-
-    def _is_complete_body(self, ids: tuple[int, ...]) -> bool:
-        return self._state(ids) in self.dfa.accepting
+    def _accepts(self, state: int) -> bool:
+        return state in self.dfa.accepting
 
 
 def load_constraint(path: str | Path, vocab: Vocabulary) -> ConstraintChecker:

@@ -59,7 +59,8 @@ class Grammar:
         return frozenset(out)
 
 
-def _nullable_set(productions) -> frozenset[str]:
+def nullable_set(productions) -> frozenset[str]:
+    """The nonterminals of ``productions`` that derive the empty string."""
     nullable: set[str] = set()
     changed = True
     while changed:

@@ -179,18 +179,21 @@ def _parse_context_key(key: str, vocab: Vocabulary) -> tuple[int, ...]:
     return vocab.seq(ids).ids
 
 
-def _read_doc(source: str | Path | IO[str], kind: str) -> dict:
-    """The JSON object in ``source`` (path or open file)."""
+def read_doc(source: str | Path | IO[str], kind: str) -> dict:
+    """The JSON object in ``source`` (path or open file); anything else is
+    a ValueError that names the file."""
     if hasattr(source, "read"):
         text = source.read()
+        name = getattr(source, "name", "<stream>")
     else:
         text = Path(source).read_text(encoding="utf-8")
+        name = source
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed {kind} document: {exc}") from exc
+        raise ValueError(f"malformed {kind} document {name}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError(f"{kind} document must be a JSON object")
+        raise ValueError(f"{kind} document {name} must be a JSON object")
     return doc
 
 
@@ -221,7 +224,7 @@ def ngram_lm_from_doc(doc: Mapping) -> NGramLM:
 
 def load_table_lm(source: str | Path | IO[str]) -> TableLM:
     """Load a table LM from a JSON document (path or open file)."""
-    return table_lm_from_doc(_read_doc(source, "table LM"))
+    return table_lm_from_doc(read_doc(source, "table LM"))
 
 
 class NGramLM(LanguageModel):
@@ -280,7 +283,7 @@ class NGramLM(LanguageModel):
 
 def load_ngram_lm(source: str | Path | IO[str]) -> NGramLM:
     """Load an n-gram LM from a JSON corpus document (path or open file)."""
-    return ngram_lm_from_doc(_read_doc(source, "n-gram LM"))
+    return ngram_lm_from_doc(read_doc(source, "n-gram LM"))
 
 
 class RemoteLM(LanguageModel):

@@ -383,19 +383,25 @@ class InvalidPrefixTrie:
 
 
 def load_snapshot(text: str, lm: LanguageModel) -> InvalidPrefixTrie:
-    """Rebuild a trie from a snapshot by re-inserting its leaves; p values
-    are re-derived from the model, so round-trips are semantically exact
-    but not required to be bit-exact."""
-    trie = InvalidPrefixTrie()
+    """Rebuild a trie from a snapshot by re-inserting its leaves, one
+    ``insert_invalid_children`` group per parent; p values are re-derived
+    from the model, so round-trips are semantically exact but not required
+    to be bit-exact."""
+    groups: dict[tuple[int, ...], list[int]] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         prefix, _, leaf = line.split("\t")
         if leaf != "1":
             continue
-        ids = tuple(int(t) for t in prefix.split(",")) if prefix else ()
+        if not prefix:
+            raise ValueError("cannot insert the empty prefix as invalid")
+        ids = tuple(int(t) for t in prefix.split(","))
+        groups.setdefault(ids[:-1], []).append(ids[-1])
+    trie = InvalidPrefixTrie()
+    for base, tokens in groups.items():
         dists = [
-            lm.next_distribution(Sequence(ids[:i], False)) for i in range(len(ids))
+            lm.next_distribution(Sequence(base[:i], False)) for i in range(len(base) + 1)
         ]
-        trie.insert_invalid(ids, dists)
+        trie.insert_invalid_children(base, dists, tokens)
     return trie

@@ -191,7 +191,7 @@ def test_criterion_2_per_iteration_exactness(arith_lm, arith_checker):
                     for i, token in enumerate(w.ids):
                         dist = lm.next_distribution(Sequence(w.ids[:i], False))
                         if node is not None and node.children:
-                            r *= trie._reweight_at(node, dist, w.ids[:i])[token]
+                            r *= trie.reweight_factors(w.ids[:i], dist)[token]
                             node = node.children.get(token)
                         else:
                             r *= dist[token]

@@ -232,3 +232,24 @@ def test_gcd_dump_trie_writes_root_only_snapshots(fixtures_dir, tmp_path):
     ]
     # gcd never writes to its trie: the root alone, with all of the mass
     assert all(p.read_text() == "\t1.0\t0\n" for p in snapshots)
+
+
+@pytest.mark.parametrize("flag", ["--lm", "--vocab", "--config"], ids=lambda f: f[2:])
+@pytest.mark.parametrize(
+    "text, message",
+    [("{bad", "malformed"), ("[1,2]", "must be a JSON object")],
+    ids=["syntax", "array"],
+)
+def test_bad_json_file_is_a_value_error_naming_it(fixtures_dir, tmp_path, flag, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    args = ["report", "--constraint", str(fixtures_dir / "arith.g")]
+    if flag == "--vocab":
+        # the vocabulary is read before any request to the remote model
+        args += ["--lm", "http://127.0.0.1:9/", "--horizon", "3"]
+    elif flag == "--config":
+        args += ["--lm", str(fixtures_dir / "arith_lm.json")]
+    args += [flag, str(bad)]
+    with pytest.raises(ValueError, match=message) as err:
+        main(args)
+    assert str(bad) in str(err.value)

@@ -9,7 +9,7 @@ from exsample import (
     make_dfa,
     parse_grammar,
 )
-from exsample.constraints import load_dfa
+from exsample.constraints import ConstraintChecker, load_dfa
 from exsample.grammar import Grammar
 from exsample.vocab import Vocabulary
 
@@ -353,17 +353,17 @@ def _no_bb_dfa():
 
 
 def _count_mask_builds(monkeypatch):
-    """Counter of DfaChecker mask builds per automaton state."""
+    """Counter of mask builds per checker state, for either backend."""
     from collections import Counter
 
     built = Counter()
-    plain = DfaChecker._build_mask
+    plain = ConstraintChecker._build_mask
 
     def counted(self, state):
         built[state] += 1
         return plain(self, state)
 
-    monkeypatch.setattr(DfaChecker, "_build_mask", counted)
+    monkeypatch.setattr(ConstraintChecker, "_build_mask", counted)
     return built
 
 
@@ -375,8 +375,19 @@ def test_dfa_construction_builds_no_mask(monkeypatch):
     assert built == {0: 1}
 
 
-@pytest.mark.parametrize("method", ["rs", "ars", "rsft", "cars", "gcd"])
-def test_dfa_run_builds_at_most_one_mask_per_state(method, monkeypatch):
+# the language of _no_bb_dfa as a grammar
+NO_BB_GRAMMAR = 'S : ("a" | "b" "a")*\n'
+METHODS = ["rs", "ars", "rsft", "cars", "gcd"]
+
+
+@pytest.mark.parametrize(
+    "backend, method",
+    [pytest.param("dfa", m, id=m) for m in METHODS]
+    + [pytest.param("earley", m, id=f"earley-{m}") for m in METHODS],
+)
+def test_dfa_run_builds_at_most_one_mask_per_state(backend, method, monkeypatch):
+    """Every method builds each state's mask at most once: per automaton
+    state for the DFA, per distinct chart for Earley."""
     from exsample import SamplerConfig, run
     from exsample.lm import TableLM
 
@@ -384,12 +395,16 @@ def test_dfa_run_builds_at_most_one_mask_per_state(method, monkeypatch):
     contexts = {(1,): [0.2, 0.3, 0.1, 0.1, 0.1, 0.2], (0, 3): [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]}
     lm = TableLM(AB, contexts, [0.3, 0.2, 0.15, 0.1, 0.15, 0.1], max_len=6)
     dfa = _no_bb_dfa()
-    checker = DfaChecker(dfa, AB)
+    if backend == "dfa":
+        checker = DfaChecker(dfa, AB)
+    else:
+        checker = EarleyChecker(parse_grammar(NO_BB_GRAMMAR), AB)
     cfg = SamplerConfig(method=method, seed=3, max_len=lm.max_len, sample_cap=300)
     stream, metrics = run(lm, checker, cfg)
     assert list(stream) and metrics.generations == 300
-    assert set(built) == set(dfa.co_reachable)
     assert max(built.values()) == 1
+    if backend == "dfa":
+        assert set(built) == set(dfa.co_reachable)
 
 
 def test_dfa_prefixes_in_one_state_share_one_readonly_mask():
@@ -417,3 +432,22 @@ def test_dfa_dead_state_prefix_still_raises():
                 checker.viability_mask(AB.seq(ids))
     assert not checker.is_complete(AB.seq((1, 1, 5)))
     assert checker.is_complete(AB.seq((2, 0, 5)))
+
+
+def test_earley_prefixes_with_equal_charts_share_one_readonly_mask(arith_lm, arith_grammar):
+    checker = EarleyChecker(arith_grammar, arith_lm.vocab)
+    v = checker.vocab
+    # "0" and "1" both read one digit byte: the same items, the same chart
+    after_digit = checker.viability_mask(v.seq([0]))
+    assert checker.viability_mask(v.seq([1])) is after_digit
+    after_plus = checker.viability_mask(v.seq([1, 2]))
+    assert checker.viability_mask(v.seq([0, 2])) is after_plus
+    assert checker.viability_mask(v.seq([0, 2, 1])) is checker.viability_mask(v.seq([1, 2, 0]))
+    assert after_plus is not after_digit
+    assert after_digit is not checker.viability_mask(v.empty())
+    for mask in (after_digit, after_plus):
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    assert mask_dict(checker, [1]) == {"0": False, "1": False, "+": True, "$": True}
+    assert mask_dict(checker, [0, 2]) == {"0": True, "1": True, "+": False, "$": False}
