@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .constraints import load_constraint
@@ -21,7 +21,7 @@ from .metrics import (
     empirical_tv,
     lm_reference,
 )
-from .oracle import condition, constrained_mass, enumerate_lm
+from .oracle import condition, enumerate_lm
 from .sampler import METHODS, SamplerConfig, run
 from .vocab import Vocabulary
 
@@ -41,6 +41,20 @@ class ExperimentConfig:
     vocab: str | None = None  # only needed for remote models
 
     def __post_init__(self) -> None:
+        for key, ok in (
+            ("lm", isinstance(self.lm, str)),
+            ("constraint", isinstance(self.constraint, str)),
+            ("methods", _is_list(self.methods, lambda m: isinstance(m, str))),
+            ("seeds", _is_list(self.seeds, _is_int)),
+            ("target_valid", _is_int(self.target_valid)),
+            ("sample_cap", _is_int(self.sample_cap)),
+            ("horizon", self.horizon is None or _is_int(self.horizon)),
+            ("out", isinstance(self.out, str)),
+            ("vocab", self.vocab is None or isinstance(self.vocab, str)),
+        ):
+            if not ok:
+                value = getattr(self, key)
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
@@ -50,6 +64,14 @@ class ExperimentConfig:
             raise ValueError("target_valid cannot exceed the sample cap")
         if self.target_valid < 1:
             raise ValueError("target_valid must be positive")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok) -> bool:
+    return isinstance(value, list) and all(item_ok(v) for v in value)
 
 
 def _load_vocab_doc(path: str) -> Vocabulary:
@@ -197,8 +219,8 @@ def oracle_report(cfg: ExperimentConfig) -> str:
     lm = load_lm(cfg)
     checker = load_constraint(cfg.constraint, lm.vocab)
     dist = enumerate_lm(lm)
-    mass = constrained_mass(dist, checker)
     members = [w for w in dist.table if checker.is_complete(w)]
+    mass = sum(dist.table[w] for w in members)
     support = [w for w in members if dist.table[w] > 0.0]
     lines = [
         f"terminated sequences within horizon: {len(dist.table)}",
@@ -234,6 +256,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
         doc = read_doc(args.config, "config")
+        unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"config document {args.config} has unknown keys {unknown}")
     overrides = {
         "lm": args.lm,
         "constraint": args.constraint,
@@ -252,7 +277,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             doc[key] = value
     if "lm" not in doc or "constraint" not in doc:
         raise ValueError("both an lm source and a constraint are required")
-    return ExperimentConfig(**doc)
+    try:
+        return ExperimentConfig(**doc)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        raise ValueError(f"config document {args.config}: {exc}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

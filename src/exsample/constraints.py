@@ -263,21 +263,23 @@ def load_dfa(source: str) -> DfaConstraint:
         line = line.split("//", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 1)
-        head = parts[0]
+        head, *arg = line.split(None, 1)
+        if head in ("alphabet", "start", "accept") and not arg:
+            raise ValueError(f"{lineno}: '{head}' needs an argument")
         if head == "alphabet":
-            alphabet = frozenset(_quoted_bytes(parts[1], lineno))
+            alphabet = frozenset(_quoted_bytes(arg[0], lineno))
         elif head == "start":
-            start = int(parts[1])
+            start = _state(arg[0], lineno)
         elif head == "accept":
-            accepting = [int(x) for x in parts[1].split()]
+            accepting = [_state(x, lineno) for x in arg[0].split()]
         else:
             fields = line.split()
             if len(fields) != 3:
                 raise ValueError(f"{lineno}: expected 'SRC \"bytes\" DST'")
-            src = int(fields[0])
-            dst = int(fields[2])
-            raw_edges.append((src, _quoted_bytes(fields[1], lineno), dst))
+            src = _state(fields[0], lineno)
+            data = _quoted_bytes(fields[1], lineno)
+            dst = _state(fields[2], lineno)
+            raw_edges.append((src, data, dst))
             max_state = max(max_state, src, dst)
     if alphabet is None or start is None:
         raise ValueError("dfa file needs 'alphabet' and 'start' lines")
@@ -287,6 +289,13 @@ def load_dfa(source: str) -> DfaConstraint:
         for b in data:
             transitions[(src, b)] = dst
     return make_dfa(n_states, start, accepting, alphabet, transitions)
+
+
+def _state(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{lineno}: expected a state number, got {text!r}") from None
 
 
 def _quoted_bytes(text: str, lineno: int) -> bytes:

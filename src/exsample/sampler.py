@@ -128,7 +128,7 @@ def sample_one(
         if viable:
             mask = checker.viability_mask(prefix)
             masks.append(mask)
-        if node is not None and node.children:
+        if node is not None:
             probs, cum = trie.draw_tables(node, dist, prefix.ids)
         else:
             probs, cum = dist.draw_tables

@@ -1,10 +1,11 @@
 """Invalid-prefix trie with exact probability-mass bookkeeping.
 
-Leaves are discovered invalid prefixes; every tracked node u carries the
-probability p that continuing from u avoids all discovered invalid
-prefixes.  Untracked sequences implicitly have p = 1 (no extension is
-known invalid) or p = 0 (below a leaf).  Inserting a prefix sets its leaf
-to 0 and propagates the decrease upward, scaled by the cached edge
+Every tracked node u is a viable prefix carrying the probability p that
+continuing from u avoids all discovered invalid prefixes.  A leaf, a
+discovered invalid prefix u·t, is no node but an entry t -> P(t|u) in
+u's ``invalid`` map.  Untracked sequences implicitly have p = 1 (no
+extension is known invalid) or p = 0 (at or below a leaf).  Inserting u·t
+propagates its removed mass upward, scaled by the cached edge
 probabilities, so the root value is always the total mass of sequences
 avoiding the invalid set.
 
@@ -28,12 +29,11 @@ go stale.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .lm import LanguageModel, NextTokenDistribution
+from .lm import NextTokenDistribution
 from .vocab import Sequence
 
 
@@ -96,21 +96,18 @@ def _subtract_in_turn(p: float, deltas: np.ndarray) -> float:
     return p
 
 
-# Childless nodes (almost all of them are leaves) share one read-only empty
-# mapping instead of holding an empty dict each.
-_NO_CHILDREN: Mapping[int, "TrieNode"] = MappingProxyType({})
-
-
 class TrieNode:
-    __slots__ = ("children", "edge_prob", "p", "is_invalid_leaf", "swept", "tables")
+    """A tracked viable prefix u: ``children`` maps a token t to the node
+    of u·t, and ``invalid`` maps t to P(t|u) when u·t is a recorded
+    invalid prefix.  No token is a key of both."""
 
-    def __init__(
-        self, edge_prob: float, p: float = 1.0, is_invalid_leaf: bool = False
-    ) -> None:
-        self.children: Mapping[int, TrieNode] = _NO_CHILDREN
+    __slots__ = ("children", "invalid", "edge_prob", "p", "swept", "tables")
+
+    def __init__(self, edge_prob: float) -> None:
+        self.children: dict[int, TrieNode] = {}
+        self.invalid: dict[int, float] = {}
         self.edge_prob = edge_prob  # P(ua|u) for the edge into this node
-        self.p = p
-        self.is_invalid_leaf = is_invalid_leaf
+        self.p = 1.0
         self.swept = False  # every invalid one-token continuation is a leaf
         self.tables = None  # (dist, probs, cum) from the last draw_tables
 
@@ -118,7 +115,7 @@ class TrieNode:
 class InvalidPrefixTrie:
     def __init__(self) -> None:
         self.root = TrieNode(1.0)
-        self.n_nodes = 1
+        self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
 
     @property
     def p_eps(self) -> float:
@@ -173,55 +170,44 @@ class InvalidPrefixTrie:
         path = [self.root]
         node = self.root
         for depth, (token, dist) in enumerate(zip(base, dists)):
-            if node.is_invalid_leaf:
-                return 0.0
             edge = float(dist.probs[token])
             child = node.children.get(token)
+            cached = node.invalid.get(token) if child is None else child.edge_prob
+            if cached is not None and abs(cached - edge) > _EDGE_TOL:
+                raise _edge_changed(base[:depth], token, cached, edge)
             if child is None:
-                child = TrieNode(edge)
-                if not node.children:
-                    node.children = {}
-                node.children[token] = child
+                if cached is not None:
+                    return 0.0  # base extends an invalid prefix
+                child = node.children[token] = TrieNode(edge)
                 self.n_nodes += 1
-            elif abs(child.edge_prob - edge) > _EDGE_TOL:
-                raise _edge_changed(base[:depth], token, child.edge_prob, edge)
             node = child
             path.append(node)
-        if node.is_invalid_leaf:
-            return 0.0
 
         edges = dists[-1].probs[tokens].tolist()
-        children = node.children
-        # check every existing child, leaves included, before changing any
-        if children:
+        children, invalid = node.children, node.invalid
+        # check every existing entry, invalid ones included, before changing any
+        if children or invalid:
             for token, edge in zip(tokens, edges):
                 child = children.get(token)
-                if child is not None and abs(child.edge_prob - edge) > _EDGE_TOL:
-                    raise _edge_changed(base, token, child.edge_prob, edge)
+                cached = invalid.get(token) if child is None else child.edge_prob
+                if cached is not None and abs(cached - edge) > _EDGE_TOL:
+                    raise _edge_changed(base, token, cached, edge)
 
         # each new leaf's removed mass, scaled by the edge into it
         deltas = []
-        if not children:
-            children = node.children = {}
-        created = 0
         for token, edge in zip(tokens, edges):
-            child = children.get(token)
+            if token in invalid:
+                continue
+            child = children.pop(token, None)
             if child is None:
-                children[token] = TrieNode(edge, 0.0, True)
-                created += 1
                 deltas.append(edge)  # its p was 1
-                continue
-            if child.is_invalid_leaf:
-                continue
-            if child.children:
+            else:
                 # a longer prefix was inserted earlier; base+t dominates it
-                self.n_nodes -= sum(1 for _ in self._walk(child)) - 1
-                child.children = _NO_CHILDREN
-            deltas.append(child.p * child.edge_prob)
-            child.p = 0.0
-            child.is_invalid_leaf = True
-            child.tables = None
-        self.n_nodes += created
+                self.n_nodes -= sum(1 for _ in self._walk(child))
+                edge = child.edge_prob
+                deltas.append(child.p * edge)
+            invalid[token] = edge
+        self.n_nodes += len(deltas)
         if not deltas:
             return 0.0
 
@@ -243,15 +229,13 @@ class InvalidPrefixTrie:
         return float(deltas.sum())
 
     def p_value(self, u: Sequence | Iterable[int]) -> float:
-        """p for any sequence: stored when tracked, 0 below a leaf, else 1."""
+        """p for any sequence: stored when tracked, 0 when covered, else 1."""
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
         node = self.root
         for token in ids:
-            if node.is_invalid_leaf:
-                return 0.0
             child = node.children.get(token)
             if child is None:
-                return 1.0
+                return 0.0 if token in node.invalid else 1.0
             node = child
         return node.p
 
@@ -267,10 +251,10 @@ class InvalidPrefixTrie:
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
         node = self.root
         for token in ids:
-            if node.is_invalid_leaf:
-                raise MassExhaustedError("cannot reweight below an invalid prefix")
             child = node.children.get(token)
             if child is None:
+                if token in node.invalid:
+                    raise MassExhaustedError(f"prefix {ids} extends an invalid prefix")
                 return dist.probs  # untracked: reduces to the original conditional
             node = child
         return self._reweight_at(node, dist, ids)
@@ -283,12 +267,15 @@ class InvalidPrefixTrie:
 
         Built by the same operations as ``reweight_factors``, checks
         included, and cached on the node until an insert changes p at or
-        below it or ``dist`` is a different object.  ``ids`` only names
-        the prefix when a check fails.
+        below it or ``dist`` is a different object; a node with no entries
+        is served ``dist``'s own tables.  ``ids`` only names the prefix
+        when a check fails.
         """
         cached = node.tables
         if cached is not None and cached[0] is dist:
             return cached[1], cached[2]
+        if not node.children and not node.invalid:
+            return dist.draw_tables
         probs = self._reweight_at(node, dist, ids)
         node.tables = (dist, probs.tolist(), np.cumsum(probs).tolist())
         return node.tables[1], node.tables[2]
@@ -322,15 +309,20 @@ class InvalidPrefixTrie:
     def _reweight_at(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
     ) -> np.ndarray:
-        if node.is_invalid_leaf or node.p <= 0.0:
+        if node.p <= 0.0:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
-        if not node.children:
+        if not node.children and not node.invalid:
             return dist.probs
-        out = np.array(dist.probs)
+        probs = dist.probs
+        out = np.array(probs)
         for token, child in node.children.items():
-            if abs(child.edge_prob - dist.probs[token]) > _EDGE_TOL:
-                raise _edge_changed(ids, token, child.edge_prob, float(dist.probs[token]))
+            if abs(child.edge_prob - probs[token]) > _EDGE_TOL:
+                raise _edge_changed(ids, token, child.edge_prob, float(probs[token]))
             out[token] *= child.p
+        for token, edge in node.invalid.items():
+            if abs(edge - probs[token]) > _EDGE_TOL:
+                raise _edge_changed(ids, token, edge, float(probs[token]))
+            out[token] = 0.0
         out /= node.p
         total = float(out.sum())
         if abs(total - 1.0) > _SUM_TOL:
@@ -343,25 +335,30 @@ class InvalidPrefixTrie:
     # -- introspection ------------------------------------------------------
 
     def _walk(self, node: TrieNode, ids: tuple[int, ...] = ()) -> Iterator:
+        """Depth-first (ids, node) pairs in token order; None: invalid prefix."""
         yield ids, node
-        for token in sorted(node.children):
-            yield from self._walk(node.children[token], ids + (token,))
+        children = node.children
+        for token in sorted([*children, *node.invalid]):
+            child = children.get(token)
+            if child is None:
+                yield ids + (token,), None
+            else:
+                yield from self._walk(child, ids + (token,))
 
     def nodes(self) -> Iterator:
-        """Depth-first (prefix ids, node) pairs, children in token order."""
-        return self._walk(self.root)
+        """Depth-first (prefix ids, node) pairs of the tracked nodes."""
+        return ((ids, node) for ids, node in self._walk(self.root) if node is not None)
 
     def leaves(self) -> list[tuple[int, ...]]:
-        return [ids for ids, node in self.nodes() if node.is_invalid_leaf]
+        """The invalid prefixes, depth-first in token order."""
+        return [ids for ids, node in self._walk(self.root) if node is None]
 
     def check_local_consistency(self, tol: float = 1e-9) -> None:
         """Debug mode: recompute every p bottom-up and compare against the
         incrementally maintained values."""
 
         def recompute(node: TrieNode) -> float:
-            if node.is_invalid_leaf:
-                return 0.0
-            fresh = 1.0
+            fresh = 1.0 - sum(node.invalid.values())
             for child in node.children.values():
                 fresh -= child.edge_prob * (1.0 - recompute(child))
             return fresh
@@ -374,34 +371,11 @@ class InvalidPrefixTrie:
                 )
 
     def dump(self) -> str:
-        """Depth-first snapshot: one ``prefix<TAB>p<TAB>leaf`` line per node."""
+        """Depth-first snapshot: one ``prefix<TAB>p<TAB>leaf`` line per
+        tracked node or invalid prefix (leaf 1, p 0.0), in token order."""
         lines = []
-        for ids, node in self.nodes():
+        for ids, node in self._walk(self.root):
             prefix = ",".join(str(t) for t in ids)
-            lines.append(f"{prefix}\t{node.p!r}\t{int(node.is_invalid_leaf)}")
+            p = 0.0 if node is None else node.p
+            lines.append(f"{prefix}\t{p!r}\t{int(node is None)}")
         return "\n".join(lines) + "\n"
-
-
-def load_snapshot(text: str, lm: LanguageModel) -> InvalidPrefixTrie:
-    """Rebuild a trie from a snapshot by re-inserting its leaves, one
-    ``insert_invalid_children`` group per parent; p values are re-derived
-    from the model, so round-trips are semantically exact but not required
-    to be bit-exact."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        prefix, _, leaf = line.split("\t")
-        if leaf != "1":
-            continue
-        if not prefix:
-            raise ValueError("cannot insert the empty prefix as invalid")
-        ids = tuple(int(t) for t in prefix.split(","))
-        groups.setdefault(ids[:-1], []).append(ids[-1])
-    trie = InvalidPrefixTrie()
-    for base, tokens in groups.items():
-        dists = [
-            lm.next_distribution(Sequence(base[:i], False)) for i in range(len(base) + 1)
-        ]
-        trie.insert_invalid_children(base, dists, tokens)
-    return trie

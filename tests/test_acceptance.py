@@ -190,7 +190,7 @@ def test_criterion_2_per_iteration_exactness(arith_lm, arith_checker):
                     node = trie.root
                     for i, token in enumerate(w.ids):
                         dist = lm.next_distribution(Sequence(w.ids[:i], False))
-                        if node is not None and node.children:
+                        if node is not None:
                             r *= trie.reweight_factors(w.ids[:i], dist)[token]
                             node = node.children.get(token)
                         else:
@@ -292,17 +292,20 @@ def test_criterion_5_trie_oracle_torture():
         tracked: dict[int, float] = {}
         for w_ids, p in entries:
             node = trie.root
-            path = [node]
-            covered = node.is_invalid_leaf
+            # (key, stored mass) of every tracked node and invalid prefix on w
+            path = [(id(node), node.p)]
+            covered = False
             for token in w_ids:
-                node = node.children.get(token)
-                if node is None:
+                child = node.children.get(token)
+                if child is None:
+                    covered = token in node.invalid
+                    if covered:
+                        path.append(((id(node), token), 0.0))
                     break
-                path.append(node)
-                covered = covered or node.is_invalid_leaf
-            for n in path:
-                key = id(n)
-                tracked[key] = n.p
+                node = child
+                path.append((id(node), node.p))
+            for key, stored in path:
+                tracked[key] = stored
                 den[key] = den.get(key, 0.0) + p
                 if not covered:
                     num[key] = num.get(key, 0.0) + p

@@ -42,6 +42,33 @@ def test_config_validation(fixtures_dir, tmp_path):
         _config(fixtures_dir, tmp_path, target_valid=5000)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", [1], r"unknown keys \['seed'\]"),
+        ("seeds", "12", r"'seeds' has the wrong type: '12'"),
+        ("seeds", [1, "2"], r"'seeds' has the wrong type"),
+        ("methods", "cars", r"'methods' has the wrong type"),
+        ("target_valid", "100", r"'target_valid' has the wrong type"),
+        ("horizon", 7.0, r"'horizon' has the wrong type"),
+        ("lm", 5, r"'lm' has the wrong type"),
+    ],
+)
+def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, value, message):
+    config = {
+        "lm": str(fixtures_dir / "arith_lm.json"),
+        "constraint": str(fixtures_dir / "arith.g"),
+        "out": str(tmp_path / "out"),
+        key: value,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message) as err:
+        main(["run", "--config", str(cfg_path)])
+    assert str(cfg_path) in str(err.value)
+    assert not (tmp_path / "out").exists()
+
+
 def test_full_grid_writes_one_row_per_cell(fixtures_dir, tmp_path):
     cfg = _config(fixtures_dir, tmp_path / "out")
     assert run_experiment(cfg) == 0

@@ -145,6 +145,23 @@ def test_load_dfa_errors():
         load_dfa('alphabet "01"\nstart 0\naccept 0\n0 x 1\n')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('alphabet\nstart 0\n', r"^1: 'alphabet' needs an argument"),
+        ('alphabet "01"\nstart\n', r"^2: 'start' needs an argument"),
+        ('alphabet "01"\nstart 0\n// comment\naccept \n', r"^4: 'accept' needs an argument"),
+        ('alphabet "01"\nstart x\n', r"^2: expected a state number, got 'x'"),
+        ('alphabet "01"\nstart 0\naccept 0 y\n', r"^3: expected a state number, got 'y'"),
+        ('alphabet "01"\nstart 0\n0 "0" x\n', r"^3: expected a state number, got 'x'"),
+        ('alphabet "01"\nstart 0\nz "0" 1\n', r"^3: expected a state number, got 'z'"),
+    ],
+)
+def test_load_dfa_bad_lines_name_their_number(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_dfa(text)
+
+
 # -- brute-force referees ------------------------------------------------------
 
 def _bfs_mask(dfa, vocab, ids):

@@ -127,6 +127,8 @@ def test_exact_p_referees_the_trie(arith_lm):
         leaves = trie.leaves()
         for node_ids, node in trie.nodes():
             assert node.p == pytest.approx(exact_p(node_ids, leaves, dist), abs=1e-9)
+        for leaf in leaves:
+            assert trie.p_value(leaf) == exact_p(leaf, leaves, dist) == 0.0
 
 
 def test_dump_format(arith_lm):

@@ -9,12 +9,10 @@ from exsample.trie import (
     _ACCUMULATE_MIN,
     _DRIFT,
     _EDGE_TOL,
-    _NO_CHILDREN,
     InvalidPrefixTrie,
     TrieNode,
     _clamped,
     _subtract_in_turn,
-    load_snapshot,
 )
 from exsample.vocab import Vocabulary
 from conftest import step_dists
@@ -124,6 +122,17 @@ def test_edge_probability_mismatch_at_a_leaf_changes_nothing(arith_lm):
     assert trie.n_nodes == n_nodes
 
 
+def test_edge_probability_mismatch_through_a_leaf_changes_nothing(arith_lm):
+    trie, _ = build(arith_lm, ARS_INSERT)
+    before, n_nodes = trie.dump(), trie.n_nodes
+    root, after_0, _ = step_dists(arith_lm, [0, 2, 2])
+    # the base passes through the leaf (0, 2, 2), met with the root's conditional
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\)"):
+        trie.insert_invalid_children((0, 2, 2), [root, after_0, root, root], [1])
+    assert trie.dump() == before
+    assert trie.n_nodes == n_nodes
+
+
 def test_reweight_checks_name_the_prefix(arith_lm):
     trie, _ = build(arith_lm, ARS_INSERT)
     root, _, after_02 = step_dists(arith_lm, [0, 2, 2])
@@ -137,7 +146,8 @@ def test_reweight_checks_name_the_prefix(arith_lm):
 
 
 def _count(node):
-    return 1 + sum(_count(child) for child in node.children.values())
+    """Tracked nodes and invalid prefixes at and below ``node``."""
+    return 1 + len(node.invalid) + sum(_count(c) for c in node.children.values())
 
 
 def _insert_one_by_one(trie, ids, dists):
@@ -145,29 +155,31 @@ def _insert_one_by_one(trie, ids, dists):
     reference ``insert_invalid_children`` must match bit for bit."""
     path = [trie.root]
     node = trie.root
-    for token, dist in zip(ids, dists):
-        if node.is_invalid_leaf:
-            return 0.0
+    for i, (token, dist) in enumerate(zip(ids, dists), start=1):
         edge = float(dist.probs[token])
+        if token in node.invalid:  # ids is covered
+            assert abs(node.invalid[token] - edge) <= _EDGE_TOL
+            return 0.0
         child = node.children.get(token)
-        if child is None:
-            child = TrieNode(edge)
-            if not node.children:
-                node.children = {}
-            node.children[token] = child
-            trie.n_nodes += 1
-        else:
+        if child is not None:
             assert abs(child.edge_prob - edge) <= _EDGE_TOL
+        if i == len(ids):
+            break
+        if child is None:
+            child = node.children[token] = TrieNode(edge)
+            trie.n_nodes += 1
         node = child
         path.append(node)
-    if node.is_invalid_leaf:
-        return 0.0
-    if node.children:
-        trie.n_nodes -= _count(node) - 1
-        node.children = _NO_CHILDREN
-    delta = node.p
-    node.p = 0.0
-    node.is_invalid_leaf = True
+    if child is None:
+        trie.n_nodes += 1
+        delta = edge
+    else:  # ids dominates the subtree below it
+        del node.children[token]
+        trie.n_nodes -= _count(child) - 1
+        edge = child.edge_prob
+        delta = child.p * edge
+    node.invalid[token] = edge
+    node.p = _clamped(node.p - delta)
     for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
         delta *= child.edge_prob
         parent.p = _clamped(parent.p - delta)
@@ -175,10 +187,10 @@ def _insert_one_by_one(trie, ids, dists):
 
 
 def _tracked(trie, ids):
-    """The node at ``ids`` and whether a leaf covers a proper prefix of it."""
+    """The node at ``ids``, and whether an invalid prefix covers ``ids``."""
     node = trie.root
     for token in ids:
-        if node.is_invalid_leaf:
+        if token in node.invalid:
             return None, True
         node = node.children.get(token)
         if node is None:
@@ -205,14 +217,13 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
             node, covered = _tracked(reference, base)
             if not tokens:
                 seen.add("empty")
-            elif covered or (node is not None and node.is_invalid_leaf):
+            elif covered:
                 seen.add("base below a leaf")
             elif node is not None:
                 for t in tokens:
-                    child = node.children.get(t)
-                    if child is not None and child.is_invalid_leaf:
+                    if t in node.invalid:
                         seen.add("already a leaf")
-                    elif child is not None and child.children:
+                    elif t in node.children:
                         seen.add("deeper subtree")
             if lm.vocab.eos in tokens:
                 seen.add("eos")
@@ -226,6 +237,7 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
             assert abs(got - want) <= _DRIFT
             assert batched.dump() == reference.dump()
             assert batched.n_nodes == reference.n_nodes
+            assert batched.n_nodes == len(batched.dump().splitlines())
             batched.check_local_consistency()
     want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "base below a leaf"}
     assert want_seen <= seen
@@ -284,13 +296,12 @@ def test_draw_tables_match_reweight_factors(arith_lm):
     for ids in CARS_INSERTS:
         trie.insert_invalid(arith_lm.vocab.seq(ids), step_dists(arith_lm, ids))
         for prefix, node in trie.nodes():
-            if node.children and not node.is_invalid_leaf:
-                dist = arith_lm.next_distribution(Sequence(prefix, False))
-                want = trie.reweight_factors(prefix, dist)
-                for _ in range(2):  # built, then served from the cache
-                    probs, cum = trie.draw_tables(node, dist, prefix)
-                    assert probs == want.tolist()
-                    assert cum == np.cumsum(want).tolist()
+            dist = arith_lm.next_distribution(Sequence(prefix, False))
+            want = trie.reweight_factors(prefix, dist)
+            for _ in range(2):  # built, then served from the cache
+                probs, cum = trie.draw_tables(node, dist, prefix)
+                assert probs == want.tolist()
+                assert cum == np.cumsum(want).tolist()
 
 
 def test_reweight_untracked_is_identity(arith_lm):
@@ -415,17 +426,40 @@ def test_terminated_insert_uses_eos_edge(arith_lm):
     assert removed == pytest.approx(sequence_probability(v.seq([1, 3]), arith_lm), rel=1e-12)
 
 
-def test_snapshot_dump_and_reload(arith_lm):
+def test_snapshot_format(arith_lm):
     trie, _ = build(arith_lm, CARS_INSERTS)
-    text = trie.dump()
-    lines = text.splitlines()
+    lines = trie.dump().splitlines()
     assert lines[0].startswith("\t")  # root has the empty prefix
     assert all(len(line.split("\t")) == 3 for line in lines)
-    clone = load_snapshot(text, arith_lm)
-    assert sorted(clone.leaves()) == sorted(trie.leaves())
-    # p is re-derived on load: semantically equal, bit-exactness not promised
-    for ids, node in trie.nodes():
-        assert clone.p_value(ids) == pytest.approx(node.p, abs=1e-12)
-    # a canonical (dump-ordered) snapshot round-trips bit-exactly
-    canonical = clone.dump()
-    assert load_snapshot(canonical, arith_lm).dump() == canonical
+    assert len(lines) == trie.n_nodes
+
+
+def test_dump_text_of_the_sweep(arith_lm):
+    trie, _ = build(arith_lm, CARS_INSERTS)
+    assert trie.dump() == (
+        "\t0.3613749999999999\t0\n"
+        "0\t0.24749999999999994\t0\n"
+        "0,0\t0.0\t1\n"
+        "0,1\t0.0\t1\n"
+        "0,2\t0.55\t0\n"
+        "0,2,2\t0.0\t1\n"
+        "0,2,3\t0.0\t1\n"
+        "2\t0.0\t1\n"
+        "3\t0.0\t1\n"
+    )
+    assert trie.leaves() == [(0, 0), (0, 1), (0, 2, 2), (0, 2, 3), (2,), (3,)]
+    assert [ids for ids, _ in trie.nodes()] == [(), (0,), (0, 2)]
+
+
+def test_dump_text_after_pruning(arith_lm):
+    # (0, 2) dominates (0, 2, 2) and (0, 2, 1, 1): their subtree goes
+    trie, _ = build(arith_lm, [(0, 2, 2), (0, 2, 1, 1), (1, 0), (0, 2)])
+    assert trie.dump() == (
+        "\t0.7349999999999999\t0\n"
+        "0\t0.55\t0\n"
+        "0,2\t0.0\t1\n"
+        "1\t0.75\t0\n"
+        "1,0\t0.0\t1\n"
+    )
+    assert trie.n_nodes == 5
+    trie.check_local_consistency()
