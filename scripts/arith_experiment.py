@@ -16,14 +16,14 @@ from exsample.cli import ExperimentConfig, run_experiment
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/arith")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--target-valid", type=int, default=100)
     parser.add_argument("--hard", action="store_true",
                         help="use the low-acceptance variant of the model")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     lm = "arith_lowmass_lm.json" if args.hard else "arith_lm.json"
     cfg = ExperimentConfig(

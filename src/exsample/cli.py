@@ -50,6 +50,8 @@ class ExperimentConfig:
             ("sample_cap", _is_int(self.sample_cap)),
             ("horizon", self.horizon is None or _is_int(self.horizon)),
             ("out", isinstance(self.out, str)),
+            ("oracle", isinstance(self.oracle, bool)),
+            ("dump_trie", isinstance(self.dump_trie, bool)),
             ("vocab", self.vocab is None or isinstance(self.vocab, str)),
         ):
             if not ok:
@@ -244,11 +246,11 @@ def _parse_seeds(text: str) -> list[int]:
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+        except ValueError:
+            raise ValueError(f"--seeds: {part!r} is not an int or an a..b range") from None
     return out
 
 

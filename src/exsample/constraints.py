@@ -279,23 +279,28 @@ def load_dfa(source: str) -> DfaConstraint:
             src = _state(fields[0], lineno)
             data = _quoted_bytes(fields[1], lineno)
             dst = _state(fields[2], lineno)
-            raw_edges.append((src, data, dst))
+            raw_edges.append((lineno, src, data, dst))
             max_state = max(max_state, src, dst)
     if alphabet is None or start is None:
         raise ValueError("dfa file needs 'alphabet' and 'start' lines")
     n_states = max(max_state, start, max(accepting, default=0)) + 1
     transitions = {}
-    for src, data, dst in raw_edges:
+    for lineno, src, data, dst in raw_edges:
         for b in data:
+            if b not in alphabet:
+                raise ValueError(f"{lineno}: byte {bytes([b])!r} outside the alphabet")
             transitions[(src, b)] = dst
     return make_dfa(n_states, start, accepting, alphabet, transitions)
 
 
 def _state(text: str, lineno: int) -> int:
     try:
-        return int(text)
+        state = int(text)
     except ValueError:
         raise ValueError(f"{lineno}: expected a state number, got {text!r}") from None
+    if state < 0:
+        raise ValueError(f"{lineno}: state {state} is negative")
+    return state
 
 
 def _quoted_bytes(text: str, lineno: int) -> bytes:

@@ -11,8 +11,8 @@ avoiding the invalid set.
 
 Inserts come in sibling batches: one walk down to a node turns any number
 of its one-token continuations into leaves, and every node on the path
-then subtracts their decreases one at a time, in token order, so p ends
-up with the same bits as after inserting the prefixes one by one.
+then subtracts their summed decrease once, so p equals what inserting the
+prefixes one by one gives, up to rounding.
 
 Each node drawn from keeps its reweighted conditional and running sums
 as Python lists until an insert changes p at or below it, so a step
@@ -52,13 +52,6 @@ _DRIFT = 1e-12      # p excursions beyond [0,1] by more than this are bugs
 _SUM_TOL = 1e-8     # reweighted vectors must sum to 1 within this
 
 
-# Batches of at least this many decreases are subtracted level by level
-# with numpy.  Timed on paths of 2-8 nodes (x86 Xeon, Python 3.11, numpy
-# 2.4), the Python loop wins below 28-32 decreases and numpy is 5-8x faster
-# at the ~730 of a cars batch on a V=1024 model.
-_ACCUMULATE_MIN = 32
-
-
 def _clamped(p: float) -> float:
     if p < 0.0:
         if p >= -_DRIFT:
@@ -78,22 +71,6 @@ def _edge_changed(
         f"edge probability for token {token} after prefix {prefix} "
         f"changed from {cached!r} to {edge!r}"
     )
-
-
-def _subtract_in_turn(p: float, deltas: np.ndarray) -> float:
-    """``p`` minus each of the non-negative ``deltas`` in turn, each
-    intermediate value clamped, as inserting the prefixes one by one does.
-
-    ``np.subtract.accumulate`` subtracts left to right in float64, so it
-    yields the same bits whenever no clamp fires; the running value only
-    falls, so that is the case when the last value is not negative.
-    """
-    last = float(np.subtract.accumulate(np.concatenate(([p], deltas)))[-1])
-    if last >= 0.0:
-        return last
-    for d in deltas.tolist():
-        p = _clamped(p - d)
-    return p
 
 
 class TrieNode:
@@ -150,15 +127,15 @@ class InvalidPrefixTrie:
         """Record ``base + (t,)`` as invalid for every t in ``tokens``;
         returns the total decrease of the root value.
 
-        The batch has the effect, bit for bit, of inserting each prefix on
-        its own with ``insert_invalid``, t ascending: the path to ``base``
-        is walked once, and every ancestor applies the per-token decreases
-        one at a time, in that order.  ``step_dists`` has one conditional
-        per token of ``base`` plus the one at ``base``, from which all the
-        new edges are read.  No tokens, or a ``base`` covered by a leaf,
-        change nothing.  A cached edge probability that disagrees with
-        ``step_dists`` raises ``TrieCorruptionError`` before anything
-        changes.
+        The batch has the effect, up to rounding, of inserting each prefix
+        on its own with ``insert_invalid``: the path to ``base`` is walked
+        once, the new leaves' decreases are summed in ascending token order,
+        and every ancestor subtracts that sum once, scaled by the edges
+        below it.  ``step_dists`` has one conditional per token of ``base``
+        plus the one at ``base``, from which all the new edges are read.
+        No tokens, or a ``base`` covered by a leaf, change nothing.  A
+        cached edge probability that disagrees with ``step_dists`` raises
+        ``TrieCorruptionError`` before anything changes.
         """
         base = tuple(base)
         dists = list(step_dists)
@@ -193,40 +170,32 @@ class InvalidPrefixTrie:
                 if cached is not None and abs(cached - edge) > _EDGE_TOL:
                     raise _edge_changed(base, token, cached, edge)
 
-        # each new leaf's removed mass, scaled by the edge into it
-        deltas = []
+        # the new leaves' removed mass, each scaled by the edge into it,
+        # summed in token order
+        removed = 0.0
+        added = 0
         for token, edge in zip(tokens, edges):
             if token in invalid:
                 continue
             child = children.pop(token, None)
             if child is None:
-                deltas.append(edge)  # its p was 1
+                removed += edge  # its p was 1
             else:
                 # a longer prefix was inserted earlier; base+t dominates it
                 self.n_nodes -= sum(1 for _ in self._walk(child))
                 edge = child.edge_prob
-                deltas.append(child.p * edge)
+                removed += child.p * edge
             invalid[token] = edge
-        self.n_nodes += len(deltas)
-        if not deltas:
+            added += 1
+        if not added:
             return 0.0
+        self.n_nodes += added
 
-        for ancestor in path:
-            ancestor.tables = None
-        if len(deltas) < _ACCUMULATE_MIN:
-            removed = 0.0
-            for d in deltas:
-                for ancestor in reversed(path):
-                    ancestor.p = _clamped(ancestor.p - d)
-                    d *= ancestor.edge_prob  # 1 at the root
-                removed += d
-            return removed
-        # level by level: each ancestor still sees the decreases in token order
-        deltas = np.array(deltas)
         for ancestor in reversed(path):
-            ancestor.p = _subtract_in_turn(ancestor.p, deltas)
-            deltas *= ancestor.edge_prob
-        return float(deltas.sum())
+            ancestor.tables = None
+            ancestor.p = _clamped(ancestor.p - removed)
+            removed *= ancestor.edge_prob  # 1 at the root
+        return removed
 
     def p_value(self, u: Sequence | Iterable[int]) -> float:
         """p for any sequence: stored when tracked, 0 when covered, else 1."""

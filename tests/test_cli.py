@@ -15,7 +15,7 @@ def _read_tree(root: Path) -> dict:
 #   exsample run --lm fixtures/arith_lm.json --constraint fixtures/arith.g
 #     --methods rs,ars,rsft,cars,gcd --seeds 1..3 --oracle
 # A change that moves it must say why.
-GOLDEN_DIGEST = "a2052ddb7c5b34edea003d514487e9a5395aa81e98de5dfa150de12444545c33"
+GOLDEN_DIGEST = "ee96dde83643b99e6fba8978123cd37d9a84cc86f996f7051cb9315bff9c161f"
 
 
 def _config(fixtures_dir, out, **kw):
@@ -52,6 +52,8 @@ def test_config_validation(fixtures_dir, tmp_path):
         ("target_valid", "100", r"'target_valid' has the wrong type"),
         ("horizon", 7.0, r"'horizon' has the wrong type"),
         ("lm", 5, r"'lm' has the wrong type"),
+        ("oracle", "no", r"'oracle' has the wrong type: 'no'"),
+        ("dump_trie", 1, r"'dump_trie' has the wrong type: 1"),
     ],
 )
 def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, value, message):
@@ -66,6 +68,14 @@ def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, 
     with pytest.raises(ValueError, match=message) as err:
         main(["run", "--config", str(cfg_path)])
     assert str(cfg_path) in str(err.value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds, part", [("1..", "'1..'"), ("x", "'x'"), ("1,,2", "''")])
+def test_bad_seeds_are_a_value_error_naming_the_part(fixtures_dir, tmp_path, seeds, part):
+    args = _run_args(fixtures_dir, tmp_path / "out", "--seeds", seeds)
+    with pytest.raises(ValueError, match=f"^--seeds: {part} is not an int"):
+        main(args)
     assert not (tmp_path / "out").exists()
 
 

@@ -155,6 +155,12 @@ def test_load_dfa_errors():
         ('alphabet "01"\nstart 0\naccept 0 y\n', r"^3: expected a state number, got 'y'"),
         ('alphabet "01"\nstart 0\n0 "0" x\n', r"^3: expected a state number, got 'x'"),
         ('alphabet "01"\nstart 0\nz "0" 1\n', r"^3: expected a state number, got 'z'"),
+        ('alphabet "01"\nstart -1\n', r"^2: state -1 is negative"),
+        ('alphabet "01"\nstart 0\naccept 0 -3\n', r"^3: state -3 is negative"),
+        ('alphabet "01"\nstart 0\n0 "0" -2\n', r"^3: state -2 is negative"),
+        ('alphabet "01"\nstart 0\n0 "2" 1\n', r"^3: byte b'2' outside the alphabet"),
+        # the alphabet may come after the edges
+        ('start 0\n0 "0" 1\n1 "02" 0\nalphabet "01"\n', r"^3: byte b'2' outside the alphabet"),
     ],
 )
 def test_load_dfa_bad_lines_name_their_number(text, message):

@@ -316,8 +316,8 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     rng = make_rng(cfg.seed)
     for dump in dumps:
         trace = sample_one(lm, checker, trie, cfg, rng)
-        for ids, dists, _ in invalid_prefixes(invalid_set(trace, method), lm.vocab.eos):
-            trie.insert_invalid(ids, dists)
+        for base, dists, tokens in invalid_set(trace, method):
+            trie.insert_invalid_children(base, dists, tokens)
         assert trie.dump() == dump
 
 

@@ -5,15 +5,7 @@ from hypothesis import given, settings, strategies as st
 from exsample import MassExhaustedError, Sequence, TrieCorruptionError, enumerate_lm
 from exsample.lm import TableLM, sequence_probability
 from exsample.oracle import exact_p
-from exsample.trie import (
-    _ACCUMULATE_MIN,
-    _DRIFT,
-    _EDGE_TOL,
-    InvalidPrefixTrie,
-    TrieNode,
-    _clamped,
-    _subtract_in_turn,
-)
+from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, TrieNode, _clamped
 from exsample.vocab import Vocabulary
 from conftest import step_dists
 
@@ -152,7 +144,7 @@ def _count(node):
 
 def _insert_one_by_one(trie, ids, dists):
     """The insert the sibling batch replaced, one prefix per call: the
-    reference ``insert_invalid_children`` must match bit for bit."""
+    reference ``insert_invalid_children`` must match up to rounding."""
     path = [trie.root]
     node = trie.root
     for i, (token, dist) in enumerate(zip(ids, dists), start=1):
@@ -201,7 +193,8 @@ def _tracked(trie, ids):
 @pytest.mark.parametrize("size, horizon", [(5, 5), (40, 4)])
 def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
     """Random sibling groups, batched into one trie and inserted prefix by
-    prefix into another: same dump, bit for bit, and same node count."""
+    prefix into another: the same prefixes and leaves, the same node count,
+    and every p within rounding."""
     seen = set()
     for seed in range(6):
         lm = _random_lm(seed, size=size, horizon=horizon)
@@ -227,56 +220,24 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
                         seen.add("deeper subtree")
             if lm.vocab.eos in tokens:
                 seen.add("eos")
-            if len(tokens) >= _ACCUMULATE_MIN:
-                seen.add("long")
 
             got = batched.insert_invalid_children(base, dists, tokens)
             want = sum(
                 _insert_one_by_one(reference, base + (t,), dists) for t in sorted(tokens)
             )
             assert abs(got - want) <= _DRIFT
-            assert batched.dump() == reference.dump()
+            got_lines = [line.split("\t") for line in batched.dump().splitlines()]
+            want_lines = [line.split("\t") for line in reference.dump().splitlines()]
+            assert [(ids, leaf) for ids, _, leaf in got_lines] == [
+                (ids, leaf) for ids, _, leaf in want_lines
+            ]
+            for (ids, got_p, _), (_, want_p, _) in zip(got_lines, want_lines):
+                assert abs(float(got_p) - float(want_p)) <= _DRIFT, ids
             assert batched.n_nodes == reference.n_nodes
             assert batched.n_nodes == len(batched.dump().splitlines())
             batched.check_local_consistency()
     want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "base below a leaf"}
     assert want_seen <= seen
-    assert ("long" in seen) == (size >= _ACCUMULATE_MIN)
-
-
-def test_accumulated_subtraction_matches_the_loop():
-    """np.subtract.accumulate, back to the loop when a clamp fires, against
-    the loop that clamps after every subtraction."""
-    outcomes = set()
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        p = float(rng.random())
-        # decreases summing to a little less than p, to p up to rounding, or
-        # to a little more; then a tail of decreases below the clamp's
-        # tolerance, which the loop absorbs one by one at 0 but which can
-        # add up to more than the tolerance
-        scale = 1.0 + float(rng.choice([-1e-3, 0.0, 1e-3]))
-        body = rng.dirichlet(np.ones(int(rng.integers(16, 64)))) * p * scale
-        tail = np.full(int(rng.integers(0, 30)), _DRIFT / 4)
-        deltas = np.concatenate((body, tail))
-
-        def outcome(subtract):
-            try:
-                return subtract()
-            except TrieCorruptionError as err:
-                return str(err)
-
-        def loop():
-            value = p
-            for d in deltas.tolist():
-                value = _clamped(value - d)
-            return value
-
-        want = outcome(loop)
-        got = outcome(lambda: _subtract_in_turn(p, deltas))
-        assert got == want and type(got) is type(want)
-        outcomes.add("raised" if isinstance(got, str) else "zero" if got == 0.0 else "kept")
-    assert outcomes == {"raised", "zero", "kept"}
 
 
 def test_swept_marks_tracked_prefixes_only(arith_lm):
