@@ -57,6 +57,11 @@ class ExperimentConfig:
             if not ok:
                 value = getattr(self, key)
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+        for key in ("methods", "seeds"):  # a repeated cell would count as a second run
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"config key {key!r} repeats {value!r}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")

@@ -41,7 +41,7 @@ _SUM_HARD = 1e-3
 class NextTokenDistribution:
     """One conditional P(.|u) over the full vocabulary, renormalized on build."""
 
-    __slots__ = ("probs", "_cum", "_draw_tables")
+    __slots__ = ("probs", "_draw_tables")
 
     def __init__(self, probs) -> None:
         arr = np.asarray(probs, dtype=np.float64)
@@ -57,24 +57,15 @@ class NextTokenDistribution:
         arr = arr / total
         arr.flags.writeable = False
         self.probs = arr
-        self._cum = None
         self._draw_tables = None
 
     @property
-    def cum(self) -> np.ndarray:
-        """Cumulative sums, cached for inverse-CDF draws."""
-        if self._cum is None:
-            c = np.cumsum(self.probs)
-            c.flags.writeable = False
-            self._cum = c
-        return self._cum
-
-    @property
     def draw_tables(self) -> tuple[list[float], list[float]]:
-        """``probs`` and ``cum`` as Python lists, cached: bisecting a list
-        is several times faster than searching an array."""
+        """``probs`` and its running sums as Python lists, cached for
+        inverse-CDF draws: bisecting a list is several times faster than
+        searching an array."""
         if self._draw_tables is None:
-            self._draw_tables = (self.probs.tolist(), self.cum.tolist())
+            self._draw_tables = (self.probs.tolist(), np.cumsum(self.probs).tolist())
         return self._draw_tables
 
     def __getitem__(self, token: int) -> float:

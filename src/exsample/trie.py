@@ -1,18 +1,19 @@
 """Invalid-prefix trie with exact probability-mass bookkeeping.
 
 Every tracked node u is a viable prefix carrying the probability p that
-continuing from u avoids all discovered invalid prefixes.  A leaf, a
-discovered invalid prefix u·t, is no node but an entry t -> P(t|u) in
-u's ``invalid`` map.  Untracked sequences implicitly have p = 1 (no
-extension is known invalid) or p = 0 (at or below a leaf).  Inserting u·t
-propagates its removed mass upward, scaled by the cached edge
-probabilities, so the root value is always the total mass of sequences
-avoiding the invalid set.
+continuing from u avoids all discovered invalid prefixes.  It holds its
+own conditional ``dist`` = P(.|u) and one share vector ``keep`` over the
+vocabulary: keep[a] is p(u·a), that is 1 for an untracked token, 0 for a
+leaf (a discovered invalid prefix u·a, which is no node) and the child's p
+for a tracked child.  So p(u) = sum_a P(a|u)·keep[a], a sum of
+non-negative terms that keeps its relative accuracy however small it
+gets, and the root value is the total mass of sequences avoiding the
+invalid set.  Untracked sequences implicitly have p = 1 (no extension is
+known invalid) or p = 0 (at or below a leaf).
 
 Inserts come in sibling batches: one walk down to a node turns any number
 of its one-token continuations into leaves, and every node on the path
-then subtracts their summed decrease once, so p equals what inserting the
-prefixes one by one gives, up to rounding.
+then recomputes its p from its ``keep`` and writes it into its parent's.
 
 Each node drawn from keeps its reweighted conditional and running sums
 as Python lists until an insert changes p at or below it, so a step
@@ -38,18 +39,23 @@ from .vocab import Sequence
 
 
 class TrieCorruptionError(RuntimeError):
-    """Bookkeeping invariant broke: cached edge probabilities disagree,
-    a reweighted vector failed its sum check, or a p value left [0, 1]
-    by more than rounding noise."""
+    """Bookkeeping invariant broke: a conditional disagrees with the one a
+    node stored, a reweighted vector failed its sum check, or a p value
+    left [0, 1] by more than rounding noise."""
 
 
 class MassExhaustedError(RuntimeError):
     """The root value reached 0: every sequence extends an invalid prefix."""
 
 
-_EDGE_TOL = 1e-12   # cached edge probabilities must match to this
-_DRIFT = 1e-12      # p excursions beyond [0,1] by more than this are bugs
-_SUM_TOL = 1e-8     # reweighted vectors must sum to 1 within this
+# _EDGE_TOL: a conditional given for a node must match the one it stored,
+#   entry by entry, to this.
+# _DRIFT: p excursions beyond [0,1] by more than this are bugs.
+# _SUM_TOL: a reweighted vector P(a|u)·keep[a] / p(u) must sum to 1 within
+#   this, i.e. the stored p(u) must equal u's kept mass as it stands now.
+_EDGE_TOL = 1e-12
+_DRIFT = 1e-12
+_SUM_TOL = 1e-8
 
 
 def _clamped(p: float) -> float:
@@ -64,34 +70,42 @@ def _clamped(p: float) -> float:
     return p
 
 
-def _edge_changed(
-    prefix: tuple[int, ...], token: int, cached: float, edge: float
-) -> TrieCorruptionError:
-    return TrieCorruptionError(
-        f"edge probability for token {token} after prefix {prefix} "
-        f"changed from {cached!r} to {edge!r}"
-    )
-
-
 class TrieNode:
     """A tracked viable prefix u: ``children`` maps a token t to the node
-    of u·t, and ``invalid`` maps t to P(t|u) when u·t is a recorded
-    invalid prefix.  No token is a key of both."""
+    of u·t, and ``keep`` holds p(u·a) for every token a."""
 
-    __slots__ = ("children", "invalid", "edge_prob", "p", "swept", "tables")
+    __slots__ = ("children", "dist", "keep", "p", "swept", "tables")
 
-    def __init__(self, edge_prob: float) -> None:
+    def __init__(self, dist: NextTokenDistribution | None) -> None:
         self.children: dict[int, TrieNode] = {}
-        self.invalid: dict[int, float] = {}
-        self.edge_prob = edge_prob  # P(ua|u) for the edge into this node
+        self.dist = dist  # P(.|u); None only at a root nothing was inserted under
+        self.keep = None if dist is None else np.ones(len(dist))
         self.p = 1.0
         self.swept = False  # every invalid one-token continuation is a leaf
         self.tables = None  # (dist, probs, cum) from the last draw_tables
 
+    def check(self, dist: NextTokenDistribution, ids: tuple[int, ...]) -> None:
+        """Raise unless ``dist`` is this node's conditional, to ``_EDGE_TOL``;
+        ``ids``, the node's prefix, names it in the error."""
+        if dist is self.dist:
+            return
+        diff = np.abs(dist.probs - self.dist.probs)
+        token = int(diff.argmax())
+        if diff[token] > _EDGE_TOL:
+            raise TrieCorruptionError(
+                f"edge probability for token {token} after prefix {ids} changed "
+                f"from {float(self.dist.probs[token])!r} to {float(dist.probs[token])!r}"
+            )
+
+    def kept_mass(self) -> float:
+        """sum_a P(a|u)·keep[a], by numpy's pairwise sum rather than a BLAS
+        dot, whose bits may depend on the CPU."""
+        return _clamped(float((self.dist.probs * self.keep).sum()))
+
 
 class InvalidPrefixTrie:
     def __init__(self) -> None:
-        self.root = TrieNode(1.0)
+        self.root = TrieNode(None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
 
     @property
@@ -125,88 +139,79 @@ class InvalidPrefixTrie:
         tokens: Iterable[int],
     ) -> float:
         """Record ``base + (t,)`` as invalid for every t in ``tokens``;
-        returns the total decrease of the root value.
+        returns the decrease of the root value.
 
-        The batch has the effect, up to rounding, of inserting each prefix
-        on its own with ``insert_invalid``: the path to ``base`` is walked
-        once, the new leaves' decreases are summed in ascending token order,
-        and every ancestor subtracts that sum once, scaled by the edges
-        below it.  ``step_dists`` has one conditional per token of ``base``
-        plus the one at ``base``, from which all the new edges are read.
-        No tokens, or a ``base`` covered by a leaf, change nothing.  A
-        cached edge probability that disagrees with ``step_dists`` raises
-        ``TrieCorruptionError`` before anything changes.
+        The batch has the effect of inserting each prefix on its own with
+        ``insert_invalid``: the path to ``base`` is walked once, the new
+        leaves' shares at ``base`` become 0, and every node on the path
+        recomputes its p and writes it into its parent's share vector.
+        ``step_dists`` has one conditional per token of ``base`` plus the
+        one at ``base``.  No tokens, or a ``base`` covered by a leaf, change
+        nothing.  A conditional that disagrees with the one a node on the
+        path stored raises ``TrieCorruptionError`` before anything changes.
         """
         base = tuple(base)
         dists = list(step_dists)
         if len(dists) != len(base) + 1:
             raise ValueError("need one step distribution per token of the prefix")
-        tokens = sorted(tokens)
+        tokens = sorted(set(tokens))
         if not tokens:
             return 0.0
-        path = [self.root]
-        node = self.root
+        root = self.root
+        if root.dist is None:
+            root.dist, root.keep = dists[0], np.ones(len(dists[0]))
+        path = [root]
+        node = root
+        # nodes made here take their conditional from dists, so only nodes
+        # that existed before, all above any new one, can fail a check
         for depth, (token, dist) in enumerate(zip(base, dists)):
-            edge = float(dist.probs[token])
+            node.check(dist, base[:depth])
             child = node.children.get(token)
-            cached = node.invalid.get(token) if child is None else child.edge_prob
-            if cached is not None and abs(cached - edge) > _EDGE_TOL:
-                raise _edge_changed(base[:depth], token, cached, edge)
             if child is None:
-                if cached is not None:
+                if not node.keep[token]:
                     return 0.0  # base extends an invalid prefix
-                child = node.children[token] = TrieNode(edge)
+                child = node.children[token] = TrieNode(dists[depth + 1])
                 self.n_nodes += 1
             node = child
             path.append(node)
+        node.check(dists[-1], base)
 
-        edges = dists[-1].probs[tokens].tolist()
-        children, invalid = node.children, node.invalid
-        # check every existing entry, invalid ones included, before changing any
-        if children or invalid:
-            for token, edge in zip(tokens, edges):
-                child = children.get(token)
-                cached = invalid.get(token) if child is None else child.edge_prob
-                if cached is not None and abs(cached - edge) > _EDGE_TOL:
-                    raise _edge_changed(base, token, cached, edge)
-
-        # the new leaves' removed mass, each scaled by the edge into it,
-        # summed in token order
-        removed = 0.0
-        added = 0
-        for token, edge in zip(tokens, edges):
-            if token in invalid:
-                continue
-            child = children.pop(token, None)
-            if child is None:
-                removed += edge  # its p was 1
-            else:
-                # a longer prefix was inserted earlier; base+t dominates it
-                self.n_nodes -= sum(1 for _ in self._walk(child))
-                edge = child.edge_prob
-                removed += child.p * edge
-            invalid[token] = edge
-            added += 1
-        if not added:
+        keep, children = node.keep, node.children
+        pruned = children.keys() & tokens if children else ()
+        for token in pruned:
+            # a longer prefix was inserted earlier; base+t dominates it
+            self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
+            keep[token] = 0.0
+        fresh = int(np.count_nonzero(keep[tokens]))  # untracked: new leaves
+        if not fresh and not pruned:
             return 0.0
-        self.n_nodes += added
+        self.n_nodes += fresh
+        keep[tokens] = 0.0
 
-        for ancestor in reversed(path):
-            ancestor.tables = None
-            ancestor.p = _clamped(ancestor.p - removed)
-            removed *= ancestor.edge_prob  # 1 at the root
-        return removed
+        before = root.p
+        for depth in range(len(base), -1, -1):
+            node = path[depth]
+            node.tables = None
+            node.p = node.kept_mass()
+            if depth:
+                path[depth - 1].keep[base[depth - 1]] = node.p
+        return before - root.p
 
-    def p_value(self, u: Sequence | Iterable[int]) -> float:
-        """p for any sequence: stored when tracked, 0 when covered, else 1."""
-        ids = u.ids if isinstance(u, Sequence) else tuple(u)
+    def _find(self, ids: tuple[int, ...]) -> TrieNode | float:
+        """The tracked node of ``ids``, else its p: 0 when a leaf covers
+        ``ids``, 1 when no known invalid prefix does."""
         node = self.root
         for token in ids:
             child = node.children.get(token)
             if child is None:
-                return 0.0 if token in node.invalid else 1.0
+                return 1.0 if node.keep is None else float(node.keep[token])
             node = child
-        return node.p
+        return node
+
+    def p_value(self, u: Sequence | Iterable[int]) -> float:
+        """p for any sequence: stored when tracked, 0 when covered, else 1."""
+        found = self._find(u.ids if isinstance(u, Sequence) else tuple(u))
+        return found.p if isinstance(found, TrieNode) else found
 
     def reweight_factors(
         self, u: Sequence | Iterable[int], dist: NextTokenDistribution
@@ -218,15 +223,12 @@ class InvalidPrefixTrie:
         online consistency check of the bookkeeping.
         """
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
-        node = self.root
-        for token in ids:
-            child = node.children.get(token)
-            if child is None:
-                if token in node.invalid:
-                    raise MassExhaustedError(f"prefix {ids} extends an invalid prefix")
-                return dist.probs  # untracked: reduces to the original conditional
-            node = child
-        return self._reweight_at(node, dist, ids)
+        found = self._find(ids)
+        if isinstance(found, TrieNode):
+            return self._reweight_at(found, dist, ids)
+        if not found:
+            raise MassExhaustedError(f"prefix {ids} extends an invalid prefix")
+        return dist.probs  # untracked: reduces to the original conditional
 
     def draw_tables(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
@@ -236,15 +238,12 @@ class InvalidPrefixTrie:
 
         Built by the same operations as ``reweight_factors``, checks
         included, and cached on the node until an insert changes p at or
-        below it or ``dist`` is a different object; a node with no entries
-        is served ``dist``'s own tables.  ``ids`` only names the prefix
-        when a check fails.
+        below it or ``dist`` is a different object.  ``ids`` only names the
+        prefix when a check fails.
         """
         cached = node.tables
         if cached is not None and cached[0] is dist:
             return cached[1], cached[2]
-        if not node.children and not node.invalid:
-            return dist.draw_tables
         probs = self._reweight_at(node, dist, ids)
         node.tables = (dist, probs.tolist(), np.cumsum(probs).tolist())
         return node.tables[1], node.tables[2]
@@ -280,19 +279,10 @@ class InvalidPrefixTrie:
     ) -> np.ndarray:
         if node.p <= 0.0:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
-        if not node.children and not node.invalid:
+        if node.dist is None:
             return dist.probs
-        probs = dist.probs
-        out = np.array(probs)
-        for token, child in node.children.items():
-            if abs(child.edge_prob - probs[token]) > _EDGE_TOL:
-                raise _edge_changed(ids, token, child.edge_prob, float(probs[token]))
-            out[token] *= child.p
-        for token, edge in node.invalid.items():
-            if abs(edge - probs[token]) > _EDGE_TOL:
-                raise _edge_changed(ids, token, edge, float(probs[token]))
-            out[token] = 0.0
-        out /= node.p
+        node.check(dist, ids)
+        out = dist.probs * node.keep / node.p
         total = float(out.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise TrieCorruptionError(
@@ -306,8 +296,10 @@ class InvalidPrefixTrie:
     def _walk(self, node: TrieNode, ids: tuple[int, ...] = ()) -> Iterator:
         """Depth-first (ids, node) pairs in token order; None: invalid prefix."""
         yield ids, node
+        if node.keep is None:
+            return
         children = node.children
-        for token in sorted([*children, *node.invalid]):
+        for token in sorted({*children, *np.flatnonzero(node.keep == 0.0).tolist()}):
             child = children.get(token)
             if child is None:
                 yield ids + (token,), None
@@ -323,21 +315,24 @@ class InvalidPrefixTrie:
         return [ids for ids, node in self._walk(self.root) if node is None]
 
     def check_local_consistency(self, tol: float = 1e-9) -> None:
-        """Debug mode: recompute every p bottom-up and compare against the
-        incrementally maintained values."""
+        """Debug mode: recompute every p bottom-up from the children's
+        recomputed values, not from the stored shares, and compare against
+        the incrementally maintained values."""
 
-        def recompute(node: TrieNode) -> float:
-            fresh = 1.0 - sum(node.invalid.values())
-            for child in node.children.values():
-                fresh -= child.edge_prob * (1.0 - recompute(child))
-            return fresh
-
-        for ids, node in self.nodes():
-            fresh = recompute(node)
+        def recompute(ids: tuple[int, ...], node: TrieNode) -> float:
+            fresh = 1.0
+            if node.dist is not None:
+                keep = (node.keep != 0.0).astype(np.float64)  # untracked 1, leaf 0
+                for token, child in node.children.items():
+                    keep[token] = recompute(ids + (token,), child)
+                fresh = float((node.dist.probs * keep).sum())
             if abs(fresh - node.p) > tol:
                 raise TrieCorruptionError(
                     f"node {ids}: stored p {node.p!r} vs recomputed {fresh!r}"
                 )
+            return fresh
+
+        recompute((), self.root)
 
     def dump(self) -> str:
         """Depth-first snapshot: one ``prefix<TAB>p<TAB>leaf`` line per

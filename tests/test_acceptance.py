@@ -20,6 +20,7 @@ from exsample import (
     condition,
     enumerate_lm,
     make_dfa,
+    parse_grammar,
     run,
 )
 from exsample.grammar import Grammar
@@ -287,23 +288,24 @@ def test_criterion_5_trie_oracle_torture():
         trie.insert_invalid(lm.vocab.seq(ids), step_dists(lm, ids))
         inserts += 1
         # one sweep computes the referee value for every tracked node
-        num: dict[int, float] = {}
-        den: dict[int, float] = {}
-        tracked: dict[int, float] = {}
+        leaves = set(trie.leaves())
+        num: dict[tuple, float] = {}
+        den: dict[tuple, float] = {}
+        tracked: dict[tuple, float] = {}
         for w_ids, p in entries:
             node = trie.root
-            # (key, stored mass) of every tracked node and invalid prefix on w
-            path = [(id(node), node.p)]
+            # (prefix, stored mass) of every tracked node and invalid prefix on w
+            path = [((), node.p)]
             covered = False
-            for token in w_ids:
+            for depth, token in enumerate(w_ids, start=1):
                 child = node.children.get(token)
                 if child is None:
-                    covered = token in node.invalid
+                    covered = w_ids[:depth] in leaves
                     if covered:
-                        path.append(((id(node), token), 0.0))
+                        path.append((w_ids[:depth], 0.0))
                     break
                 node = child
-                path.append((id(node), node.p))
+                path.append((w_ids[:depth], node.p))
             for key, stored in path:
                 tracked[key] = stored
                 den[key] = den.get(key, 0.0) + p
@@ -414,4 +416,39 @@ def test_criterion_8_kl_estimator_shrinks(arith_lm, arith_checker):
         "3-seed mean empirical KL strictly decreases over 1k/10k/100k samples",
         ok,
         f"means={[f'{m:.5f}' for m in means]}; 95% CI at 1k [{lo:.5f}, {hi:.5f}]",
+    )
+
+
+def test_criterion_9_tiny_mass_exactness():
+    """At constraint mass 1e-12 and 1e-18 the trie-based samplers still
+    follow the constrained distribution: the two members of a tokens
+    a b $ instance, reached through four steps of probability
+    q = mass^(1/4) each, keep their 0.3/0.7 split."""
+    vocab = Vocabulary.from_tokens(["a", "b", "$"], eos=2)
+    checker = EarleyChecker(parse_grammar('S : "aaaa" ("a" | "b")\n'), vocab)
+    n = 5000
+    failures, worst_tv = [], 0.0
+    for mass in (1e-12, 1e-18):
+        q = mass ** 0.25
+        lm = TableLM(vocab, {(0, 0, 0, 0): [0.3, 0.7, 0.0]}, [q, 1 - 2 * q, q], 5)
+        table = enumerate_lm(lm)
+        assert abs(constrained_mass(table, checker) / mass - 1.0) <= 1e-9
+        oracle = condition(table, checker)
+        for method in ("ars", "cars"):
+            cfg = SamplerConfig(method=method, seed=1234, max_len=lm.max_len, sample_cap=10_000)
+            stream, _ = run(lm, checker, cfg, target_valid=n)
+            samples = list(stream)
+            counts = {}
+            for w in samples:
+                counts[w] = counts.get(w, 0) + 1
+            pvalue = _lumped_chisquare(counts, oracle, n)
+            tv = empirical_tv(samples, oracle)
+            worst_tv = max(worst_tv, tv)
+            if len(samples) != n or pvalue < 0.001 or tv >= 0.02:
+                failures.append(f"{mass:g}/{method}: n={len(samples)} p={pvalue:.4f} tv={tv:.4f}")
+    _report(
+        9,
+        "exact sampling at constraint mass 1e-12 and 1e-18: chi-square at 0.001 and TV < 0.02 for ars and cars",
+        not failures,
+        f"worst tv {worst_tv:.4f}" + ("; " + "; ".join(failures) if failures else ""),
     )

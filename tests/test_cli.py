@@ -15,7 +15,7 @@ def _read_tree(root: Path) -> dict:
 #   exsample run --lm fixtures/arith_lm.json --constraint fixtures/arith.g
 #     --methods rs,ars,rsft,cars,gcd --seeds 1..3 --oracle
 # A change that moves it must say why.
-GOLDEN_DIGEST = "ee96dde83643b99e6fba8978123cd37d9a84cc86f996f7051cb9315bff9c161f"
+GOLDEN_DIGEST = "5ce3f4772c29fc29e1b8655efda533e83dd6ae5ce4e701c483766090bb45dbb0"
 
 
 def _config(fixtures_dir, out, **kw):
@@ -54,6 +54,8 @@ def test_config_validation(fixtures_dir, tmp_path):
         ("lm", 5, r"'lm' has the wrong type"),
         ("oracle", "no", r"'oracle' has the wrong type: 'no'"),
         ("dump_trie", 1, r"'dump_trie' has the wrong type: 1"),
+        ("seeds", [1, 2, 1], r"'seeds' repeats 1$"),
+        ("methods", ["cars", "rs", "cars"], r"'methods' repeats 'cars'$"),
     ],
 )
 def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, value, message):
@@ -71,10 +73,18 @@ def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("seeds, part", [("1..", "'1..'"), ("x", "'x'"), ("1,,2", "''")])
-def test_bad_seeds_are_a_value_error_naming_the_part(fixtures_dir, tmp_path, seeds, part):
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        pytest.param("1..", r"^--seeds: '1\.\.' is not an int", id="1..-'1..'"),
+        pytest.param("x", r"^--seeds: 'x' is not an int", id="x-'x'"),
+        pytest.param("1,,2", r"^--seeds: '' is not an int", id="1,,2-''"),
+        pytest.param("1..3,2", r"^config key 'seeds' repeats 2$", id="1..3,2-repeat"),
+    ],
+)
+def test_bad_seeds_are_a_value_error_naming_the_part(fixtures_dir, tmp_path, seeds, message):
     args = _run_args(fixtures_dir, tmp_path / "out", "--seeds", seeds)
-    with pytest.raises(ValueError, match=f"^--seeds: {part} is not an int"):
+    with pytest.raises(ValueError, match=message):
         main(args)
     assert not (tmp_path / "out").exists()
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from exsample import MassExhaustedError, Sequence, TrieCorruptionError, enumerate_lm
 from exsample.lm import TableLM, sequence_probability
 from exsample.oracle import exact_p
-from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, TrieNode, _clamped
+from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, _clamped
 from exsample.vocab import Vocabulary
 from conftest import step_dists
 
@@ -96,8 +96,9 @@ def test_edge_probability_mismatch_names_prefix_and_token(arith_lm):
     # the existing child (0, 2) met with the root's conditional
     with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0,\)"):
         trie.insert_invalid_children((0,), [root, root], [2])
-    # the path walk meets the existing node (0,) with the conditional at "0"
-    with pytest.raises(TrieCorruptionError, match=r"token 0 after prefix \(\) "):
+    # the path walk meets the root with the conditional at "0"; the
+    # largest difference is the one named
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(\) "):
         trie.insert_invalid_children((0,), [after_0, after_0], [1])
 
 
@@ -137,57 +138,82 @@ def test_reweight_checks_name_the_prefix(arith_lm):
         trie.draw_tables(node, after_02, (0, 2))
 
 
-def _count(node):
-    """Tracked nodes and invalid prefixes at and below ``node``."""
-    return 1 + len(node.invalid) + sum(_count(c) for c in node.children.values())
+class _RefNode:
+    """A node of the reference trie: tracked children, invalid entries
+    t -> P(t|u), the cached edge into the node and its p."""
+
+    def __init__(self, edge):
+        self.children, self.invalid, self.edge, self.p = {}, {}, edge, 1.0
+
+    def size(self):
+        """Tracked nodes and invalid prefixes at and below this node."""
+        return 1 + len(self.invalid) + sum(c.size() for c in self.children.values())
 
 
-def _insert_one_by_one(trie, ids, dists):
-    """The insert the sibling batch replaced, one prefix per call: the
-    reference ``insert_invalid_children`` must match up to rounding."""
-    path = [trie.root]
-    node = trie.root
-    for i, (token, dist) in enumerate(zip(ids, dists), start=1):
-        edge = float(dist.probs[token])
-        if token in node.invalid:  # ids is covered
-            assert abs(node.invalid[token] - edge) <= _EDGE_TOL
-            return 0.0
-        child = node.children.get(token)
-        if child is not None:
-            assert abs(child.edge_prob - edge) <= _EDGE_TOL
-        if i == len(ids):
-            break
+class _OneByOne:
+    """Reference trie that inserts one prefix per call and keeps each p as
+    1 minus the removed mass, subtracted up the path and scaled by the
+    cached edges: independent of ``InvalidPrefixTrie``'s share vectors,
+    which must match it up to rounding."""
+
+    def __init__(self):
+        self.root = _RefNode(1.0)
+        self.n_nodes = 1
+
+    def insert(self, ids, dists):
+        path = [self.root]
+        node = self.root
+        for i, (token, dist) in enumerate(zip(ids, dists), start=1):
+            edge = float(dist.probs[token])
+            if token in node.invalid:  # ids is covered
+                assert abs(node.invalid[token] - edge) <= _EDGE_TOL
+                return 0.0
+            child = node.children.get(token)
+            if child is not None:
+                assert abs(child.edge - edge) <= _EDGE_TOL
+            if i == len(ids):
+                break
+            if child is None:
+                child = node.children[token] = _RefNode(edge)
+                self.n_nodes += 1
+            node = child
+            path.append(node)
         if child is None:
-            child = node.children[token] = TrieNode(edge)
-            trie.n_nodes += 1
-        node = child
-        path.append(node)
-    if child is None:
-        trie.n_nodes += 1
-        delta = edge
-    else:  # ids dominates the subtree below it
-        del node.children[token]
-        trie.n_nodes -= _count(child) - 1
-        edge = child.edge_prob
-        delta = child.p * edge
-    node.invalid[token] = edge
-    node.p = _clamped(node.p - delta)
-    for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
-        delta *= child.edge_prob
-        parent.p = _clamped(parent.p - delta)
-    return delta
+            self.n_nodes += 1
+            delta = edge
+        else:  # ids dominates the subtree below it
+            del node.children[token]
+            self.n_nodes -= child.size() - 1
+            edge = child.edge
+            delta = child.p * edge
+        node.invalid[token] = edge
+        node.p = _clamped(node.p - delta)
+        for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
+            delta *= child.edge
+            parent.p = _clamped(parent.p - delta)
+        return delta
 
+    def tracked(self, ids):
+        """The node at ``ids``, and whether an invalid prefix covers ``ids``."""
+        node = self.root
+        for token in ids:
+            if token in node.invalid:
+                return None, True
+            node = node.children.get(token)
+            if node is None:
+                return None, False
+        return node, False
 
-def _tracked(trie, ids):
-    """The node at ``ids``, and whether an invalid prefix covers ``ids``."""
-    node = trie.root
-    for token in ids:
-        if token in node.invalid:
-            return None, True
-        node = node.children.get(token)
-        if node is None:
-            return None, False
-    return node, False
+    def lines(self, node=None, ids=()):
+        """``dump()``'s (prefix, p, leaf) columns, depth-first in token order."""
+        node = node or self.root
+        yield ",".join(map(str, ids)), node.p, "0"
+        for token in sorted([*node.children, *node.invalid]):
+            child = node.children.get(token)
+            if child is None:
+                yield ",".join(map(str, ids + (token,))), 0.0, "1"
+            else:
+                yield from self.lines(child, ids + (token,))
 
 
 @pytest.mark.parametrize("size, horizon", [(5, 5), (40, 4)])
@@ -199,7 +225,7 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
     for seed in range(6):
         lm = _random_lm(seed, size=size, horizon=horizon)
         rng = np.random.default_rng(seed)
-        batched, reference = InvalidPrefixTrie(), InvalidPrefixTrie()
+        batched, reference = InvalidPrefixTrie(), _OneByOne()
         for _ in range(40):
             depth = int(rng.integers(0, horizon - 1))
             base = tuple(int(t) for t in rng.integers(0, size - 1, size=depth))
@@ -207,7 +233,7 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
             tokens = [int(t) for t in rng.choice(size, size=k, replace=False)]
             dists = step_dists(lm, base + (0,))
 
-            node, covered = _tracked(reference, base)
+            node, covered = reference.tracked(base)
             if not tokens:
                 seen.add("empty")
             elif covered:
@@ -222,12 +248,10 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
                 seen.add("eos")
 
             got = batched.insert_invalid_children(base, dists, tokens)
-            want = sum(
-                _insert_one_by_one(reference, base + (t,), dists) for t in sorted(tokens)
-            )
+            want = sum(reference.insert(base + (t,), dists) for t in sorted(tokens))
             assert abs(got - want) <= _DRIFT
             got_lines = [line.split("\t") for line in batched.dump().splitlines()]
-            want_lines = [line.split("\t") for line in reference.dump().splitlines()]
+            want_lines = list(reference.lines())
             assert [(ids, leaf) for ids, _, leaf in got_lines] == [
                 (ids, leaf) for ids, _, leaf in want_lines
             ]
@@ -398,8 +422,8 @@ def test_snapshot_format(arith_lm):
 def test_dump_text_of_the_sweep(arith_lm):
     trie, _ = build(arith_lm, CARS_INSERTS)
     assert trie.dump() == (
-        "\t0.3613749999999999\t0\n"
-        "0\t0.24749999999999994\t0\n"
+        "\t0.3613750000000001\t0\n"
+        "0\t0.24750000000000003\t0\n"
         "0,0\t0.0\t1\n"
         "0,1\t0.0\t1\n"
         "0,2\t0.55\t0\n"
@@ -416,7 +440,7 @@ def test_dump_text_after_pruning(arith_lm):
     # (0, 2) dominates (0, 2, 2) and (0, 2, 1, 1): their subtree goes
     trie, _ = build(arith_lm, [(0, 2, 2), (0, 2, 1, 1), (1, 0), (0, 2)])
     assert trie.dump() == (
-        "\t0.7349999999999999\t0\n"
+        "\t0.7350000000000001\t0\n"
         "0\t0.55\t0\n"
         "0,2\t0.0\t1\n"
         "1\t0.75\t0\n"

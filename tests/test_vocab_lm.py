@@ -53,7 +53,7 @@ def test_encode_decode_longest_match():
 def test_distribution_renormalizes_and_validates():
     d = NextTokenDistribution([2.0, 2.0])
     assert d[0] == 0.5 and abs(sum(d.probs) - 1) < 1e-9
-    assert d.cum[-1] == pytest.approx(1.0)
+    assert d.draw_tables[1][-1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         NextTokenDistribution([0.5, -0.1])
     with pytest.raises(ValueError):
