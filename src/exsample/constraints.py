@@ -259,13 +259,20 @@ def load_dfa(source: str) -> DfaConstraint:
     accepting: list[int] = []
     raw_edges: list[tuple[int, bytes, int]] = []
     max_state = -1
+    header_line: dict[str, int] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         line = line.split("//", 1)[0].strip()
         if not line:
             continue
         head, *arg = line.split(None, 1)
-        if head in ("alphabet", "start", "accept") and not arg:
-            raise ValueError(f"{lineno}: '{head}' needs an argument")
+        if head in ("alphabet", "start", "accept"):
+            if not arg:
+                raise ValueError(f"{lineno}: '{head}' needs an argument")
+            if head in header_line:
+                raise ValueError(
+                    f"{lineno}: second '{head}' line (first on line {header_line[head]})"
+                )
+            header_line[head] = lineno
         if head == "alphabet":
             alphabet = frozenset(_quoted_bytes(arg[0], lineno))
         elif head == "start":
@@ -285,10 +292,17 @@ def load_dfa(source: str) -> DfaConstraint:
         raise ValueError("dfa file needs 'alphabet' and 'start' lines")
     n_states = max(max_state, start, max(accepting, default=0)) + 1
     transitions = {}
+    edge_line = {}
     for lineno, src, data, dst in raw_edges:
         for b in data:
             if b not in alphabet:
                 raise ValueError(f"{lineno}: byte {bytes([b])!r} outside the alphabet")
+            if (src, b) in edge_line:
+                raise ValueError(
+                    f"{lineno}: second edge for state {src} byte {bytes([b])!r} "
+                    f"(first on line {edge_line[src, b]})"
+                )
+            edge_line[src, b] = lineno
             transitions[(src, b)] = dst
     return make_dfa(n_states, start, accepting, alphabet, transitions)
 

@@ -13,10 +13,12 @@ the methods differ only in what each generation records:
   gcd   nothing; it draws by masking instead (see below), so its trie
         stays empty and its root mass stays 1
 
-An update is a list of sibling groups, each a viable prefix and its invalid
-one-token continuations, and the trie inserts each group in one batch.
-rsft and cars mark each prefix they sweep in the trie and skip it on later
-traces: its invalid continuations are leaves already.
+Every prefix a generation records branches off its sampled path, so the
+trie takes the whole generation as one update: groups of invalid one-token
+continuations keyed by depth along the path.  rsft and cars give each
+group as the step's viability mask, which sweeps the node; the trie skips
+a swept node on later traces, as its invalid continuations are leaves
+already.
 
 A rejection method is sound as long as it only ever inserts genuinely invalid
 prefixes; acceptance probability then improves monotonically while the
@@ -145,59 +147,33 @@ def sample_one(
     return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
 
 
-def _swept_prefix(trace: SampleTrace, method: str) -> tuple[int, ...] | None:
-    """For the methods that sweep (rsft, cars), the longest prefix of the
-    trace they sweep: they sweep it and each of its prefixes.  None for
-    the others."""
-    if method == "rsft":
-        return ()
-    if method == "cars":
-        return trace.tokens.ids[: len(trace.step_masks) - 1]
-    return None
-
-
-def invalid_set(
-    trace: SampleTrace,
-    method: str,
-    trie: InvalidPrefixTrie | None = None,
-) -> list[tuple[tuple[int, ...], tuple[NextTokenDistribution, ...], list[int]]]:
-    """The invalid prefixes a method derives from one trace, grouped by
-    parent: each group ``(base, dists, tokens)`` stands for the prefixes
-    ``base + (t,)`` for t in ``tokens`` (ascending), and ``dists`` holds
-    the step distributions along ``base`` plus the one at ``base``, as
-    ``InvalidPrefixTrie.insert_invalid_children`` takes them.  ars gives
-    at most one single-token group; rsft and cars give one group per
-    swept prefix, possibly with no tokens; rs and gcd give none.
+def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.ndarray]:
+    """The invalid prefixes a method derives from one trace, as groups
+    keyed by depth along the sampled path, the form
+    ``InvalidPrefixTrie.update`` takes with the trace's tokens and step
+    distributions.  The group at depth i stands for invalid one-token
+    continuations of the trace's first i tokens: ars gives its one sampled
+    invalid token, as a list; rsft and cars give viability masks, whose
+    False entries are all of them; rs and gcd give none.
 
     Edge probabilities come from the trace's recorded conditionals; a
     prefix branching off the sampled path at step i reuses step i's
-    distribution, so no extra model calls are ever needed.  When ``trie``
-    is given, the continuations of prefixes it has already swept are left
-    out: they are leaves already, so inserting them again is a no-op.
+    distribution, so no extra model calls are ever needed.
     """
-    ids = trace.tokens.ids
     masks = trace.step_masks
-    dists = trace.step_dists
-
     if method == "rs" or method == "gcd":
-        return []
-
+        return {}
     if method == "ars":
         if trace.accepted:
-            return []
+            return {}
         k = len(masks)  # prefix ids[:k-1] was viable, ids[:k] is not
-        return [(ids[: k - 1], dists[:k], [ids[k - 1]])]
-
-    # rsft: every invalid first token, whatever was sampled.  cars: every
-    # invalid one-token continuation of every visited viable prefix; this
-    # includes the trace's own shortest invalid prefix when the trace was
-    # rejected, and applies unchanged to accepted samples.
-    swept = _swept_prefix(trace, method)
-    first = 0 if trie is None else trie.swept_depth(swept)
-    return [
-        (ids[:i], dists[: i + 1], np.flatnonzero(~masks[i]).tolist())
-        for i in range(first, len(swept) + 1)
-    ]
+        return {k - 1: [trace.tokens.ids[k - 1]]}
+    if method == "rsft":
+        return {0: masks[0]}  # every invalid first token, whatever was sampled
+    # cars: every invalid one-token continuation of every visited viable
+    # prefix; this includes the trace's own shortest invalid prefix when
+    # the trace was rejected, and applies unchanged to accepted samples
+    return dict(enumerate(masks))
 
 
 def _masked_tables(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
@@ -303,7 +279,6 @@ def run(
             draw, args = gcd_sample, (lm, checker, cfg, rng, {})
         else:
             draw, args = sample_one, (lm, checker, trie, cfg, rng)
-        sweeps = method == "rsft" or method == "cars"
         try:
             for generation in range(1, cfg.sample_cap + 1):
                 if target_valid is not None and metrics.accepted >= target_valid:
@@ -311,10 +286,8 @@ def run(
                 trace = draw(*args)
                 metrics.generations = generation
                 previous = trie.root.p
-                for base, edge_dists, tokens in invalid_set(trace, method, trie):
-                    trie.insert_invalid_children(base, edge_dists, tokens)
-                if sweeps:
-                    trie.mark_swept(_swept_prefix(trace, method))
+                groups = invalid_set(trace, method)
+                trie.update(trace.tokens.ids, trace.step_dists, groups)
                 if trie.root.p > previous + 1e-12:
                     raise TrieCorruptionError(
                         f"root mass rose from {previous!r} to {trie.root.p!r}"

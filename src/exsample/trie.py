@@ -11,18 +11,20 @@ gets, and the root value is the total mass of sequences avoiding the
 invalid set.  Untracked sequences implicitly have p = 1 (no extension is
 known invalid) or p = 0 (at or below a leaf).
 
-Inserts come in sibling batches: one walk down to a node turns any number
-of its one-token continuations into leaves, and every node on the path
-then recomputes its p from its ``keep`` and writes it into its parent's.
+A generation's invalid prefixes all branch off its sampled path, so they
+come as one update: groups of one-token continuations keyed by depth
+along the path.  One walk down checks the path, makes each group's tokens
+leaves, and every node from the deepest one changed up to the root then
+recomputes its p from its ``keep`` and writes it into its parent's.
 
 Each node drawn from keeps its reweighted conditional and running sums
-as Python lists until an insert changes p at or below it, so a step
-through an unchanged node costs one ``bisect``.  A viable node whose
-invalid one-token continuations are all leaves can be marked *swept*;
-updates then skip it, since re-inserting those continuations is a no-op.
+as Python lists until an update changes p at or below it, so a step
+through an unchanged node costs one ``bisect``.  A group given as a
+viability mask sweeps its node: every invalid one-token continuation is
+then a leaf, so later masks at that node are skipped.
 
 Single writer, no concurrent readers: ``draw_tables`` writes too, since
-it fills the per-node cache, so it must be serialized with inserts and
+it fills the per-node cache, so it must be serialized with updates and
 with itself; ``p_value`` and ``reweight_factors`` only read.  Nodes must
 not be changed except through the trie's methods, or their cached tables
 go stale.
@@ -118,83 +120,110 @@ class InvalidPrefixTrie:
         u: Sequence | Iterable[int],
         step_dists: Iterable[NextTokenDistribution],
     ) -> float:
-        """Record u as invalid; returns the decrease of the root value.
-
-        ``step_dists`` supplies the model conditional at each step along u
-        (so the edge probability for token u_i is step_dists[i-1][u_i]).
-        The caller is responsible for u actually being invalid; exactness
-        of the whole sampler rests on that.  Inserting a prefix already
-        covered by a leaf is a no-op returning 0; inserting a proper prefix
-        of existing nodes prunes the subtree below it.
+        """Record u as invalid, an ``update`` with one group; returns the
+        decrease of the root value.  ``step_dists[i]`` is the conditional
+        at ``u[:i]``.  A prefix already covered by a leaf is a no-op; a
+        proper prefix of existing nodes prunes the subtree below it.
         """
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
         if not ids:
             raise ValueError("cannot insert the empty prefix as invalid")
-        return self.insert_invalid_children(ids[:-1], step_dists, [ids[-1]])
+        return self.update(ids, step_dists, {len(ids) - 1: [ids[-1]]})
 
-    def insert_invalid_children(
+    def update(
         self,
-        base: Iterable[int],
+        path: Iterable[int],
         step_dists: Iterable[NextTokenDistribution],
-        tokens: Iterable[int],
+        groups: dict[int, list[int] | np.ndarray],
     ) -> float:
-        """Record ``base + (t,)`` as invalid for every t in ``tokens``;
-        returns the decrease of the root value.
+        """Record one generation's invalid prefixes, which all branch off
+        ``path``; returns the decrease of the root value.
 
-        The batch has the effect of inserting each prefix on its own with
-        ``insert_invalid``: the path to ``base`` is walked once, the new
-        leaves' shares at ``base`` become 0, and every node on the path
-        recomputes its p and writes it into its parent's share vector.
-        ``step_dists`` has one conditional per token of ``base`` plus the
-        one at ``base``.  No tokens, or a ``base`` covered by a leaf, change
-        nothing.  A conditional that disagrees with the one a node on the
-        path stored raises ``TrieCorruptionError`` before anything changes.
+        ``groups`` maps a depth d to invalid continuations of ``path[:d]``:
+        a list of tokens, or a viability mask, an array over the vocabulary
+        that is false at exactly those tokens.  A mask sweeps its node, and
+        later masks skip a swept node.  ``step_dists[d]`` is the conditional
+        at ``path[:d]``.  The effect is that of ``insert_invalid`` on each
+        prefix, by depth and then token, and nodes are made only down to the
+        deepest group that changes something.  Every existing node on the
+        path is checked against its conditional before anything changes.
+        The caller vouches that every token given is invalid; exactness of
+        the whole sampler rests on that.
         """
-        base = tuple(base)
+        if not groups:
+            return 0.0
+        path = tuple(path)
         dists = list(step_dists)
-        if len(dists) != len(base) + 1:
-            raise ValueError("need one step distribution per token of the prefix")
-        tokens = sorted(set(tokens))
-        if not tokens:
-            return 0.0
+        depths = sorted(groups)
+        deepest = depths[-1]
+        if len(dists) <= deepest or len(path) < deepest:
+            raise ValueError(
+                f"a group at depth {deepest} needs {deepest} path tokens and "
+                f"{deepest + 1} step distributions"
+            )
         root = self.root
-        if root.dist is None:
-            root.dist, root.keep = dists[0], np.ones(len(dists[0]))
-        path = [root]
-        node = root
-        # nodes made here take their conditional from dists, so only nodes
-        # that existed before, all above any new one, can fail a check
-        for depth, (token, dist) in enumerate(zip(base, dists)):
-            node.check(dist, base[:depth])
-            child = node.children.get(token)
-            if child is None:
-                if not node.keep[token]:
-                    return 0.0  # base extends an invalid prefix
-                child = node.children[token] = TrieNode(dists[depth + 1])
+        nodes = []  # the tracked nodes of path[:0], path[:1], ...
+        node = root if root.dist is not None else None
+        reach = deepest  # groups below a leaf on the path change nothing
+        depth = 0
+        while node is not None:
+            if dists[depth] is not node.dist:  # spare the call and the slice
+                node.check(dists[depth], path[:depth])
+            nodes.append(node)
+            if depth == deepest:
+                break
+            token = path[depth]
+            node = node.children.get(token)
+            if node is None and not nodes[depth].keep[token]:
+                reach = depth
+            depth += 1
+
+        changed = -1
+        for depth in depths:
+            if depth > reach:
+                break
+            group = groups[depth]
+            sweep = isinstance(group, np.ndarray)
+            if sweep and depth < len(nodes) and nodes[depth].swept:
+                continue
+            invalid = np.logical_not(group) if sweep else list(set(group))
+            if depth >= len(nodes) and not (invalid.any() if sweep else invalid):
+                continue  # nothing to record, and no node to mark swept
+            if not nodes:
+                root.dist, root.keep = dists[0], np.ones(len(dists[0]))
+                nodes.append(root)
+            while len(nodes) <= depth:
+                child = nodes[-1].children[path[len(nodes) - 1]] = TrieNode(dists[len(nodes)])
                 self.n_nodes += 1
-            node = child
-            path.append(node)
-        node.check(dists[-1], base)
+                nodes.append(child)
+            node = nodes[depth]
+            node.swept |= sweep
+            keep, children = node.keep, node.children
+            if sweep:
+                pruned = [t for t in children if invalid[t]]
+            else:
+                pruned = [t for t in invalid if t in children]
+            for token in pruned:
+                # a longer prefix was inserted earlier; this one dominates it
+                self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
+                keep[token] = 0.0
+            fresh = int(np.count_nonzero(keep[invalid]))  # untracked: new leaves
+            if fresh or pruned:
+                self.n_nodes += fresh
+                keep[invalid] = 0.0
+                changed = depth
+            if depth < deepest and path[depth] not in children and not keep[path[depth]]:
+                reach = depth  # the group made the path a leaf
 
-        keep, children = node.keep, node.children
-        pruned = children.keys() & tokens if children else ()
-        for token in pruned:
-            # a longer prefix was inserted earlier; base+t dominates it
-            self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
-            keep[token] = 0.0
-        fresh = int(np.count_nonzero(keep[tokens]))  # untracked: new leaves
-        if not fresh and not pruned:
+        if changed < 0:
             return 0.0
-        self.n_nodes += fresh
-        keep[tokens] = 0.0
-
         before = root.p
-        for depth in range(len(base), -1, -1):
-            node = path[depth]
+        for depth in range(changed, -1, -1):
+            node = nodes[depth]
             node.tables = None
             node.p = node.kept_mass()
             if depth:
-                path[depth - 1].keep[base[depth - 1]] = node.p
+                nodes[depth - 1].keep[path[depth - 1]] = node.p
         return before - root.p
 
     def _find(self, ids: tuple[int, ...]) -> TrieNode | float:
@@ -237,7 +266,7 @@ class InvalidPrefixTrie:
         and its running sums, as lists for an inverse-CDF draw.
 
         Built by the same operations as ``reweight_factors``, checks
-        included, and cached on the node until an insert changes p at or
+        included, and cached on the node until an update changes p at or
         below it or ``dist`` is a different object.  ``ids`` only names the
         prefix when a check fails.
         """
@@ -247,32 +276,6 @@ class InvalidPrefixTrie:
         probs = self._reweight_at(node, dist, ids)
         node.tables = (dist, probs.tolist(), np.cumsum(probs).tolist())
         return node.tables[1], node.tables[2]
-
-    def swept_depth(self, ids: Iterable[int]) -> int:
-        """How many leading prefixes of ``ids``, from the empty one up to
-        ``ids`` itself, are swept."""
-        node = self.root
-        depth = 0
-        for token in ids:
-            if not node.swept:
-                return depth
-            depth += 1
-            node = node.children.get(token)
-            if node is None:
-                return depth
-        return depth + 1 if node.swept else depth
-
-    def mark_swept(self, ids: Iterable[int]) -> None:
-        """Mark every tracked prefix of ``ids``, ``ids`` included, swept:
-        the caller has inserted all invalid one-token continuations of
-        each.  Untracked prefixes have no node to mark; none is made."""
-        node = self.root
-        for token in ids:
-            node.swept = True
-            node = node.children.get(token)
-            if node is None:
-                return
-        node.swept = True
 
     def _reweight_at(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]

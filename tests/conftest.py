@@ -44,17 +44,25 @@ def lowmass_lm():
 
 
 def step_dists(lm, ids):
-    """Model conditionals along a path, as insert_invalid wants them."""
+    """Model conditionals along a path, as insert_invalid and update want them."""
     from exsample import Sequence
 
     return [lm.next_distribution(Sequence(tuple(ids[:i]), False)) for i in range(len(ids))]
 
 
-def invalid_prefixes(groups, eos):
-    """invalid_set's sibling groups expanded to one (ids, dists, terminated)
-    per invalid prefix, in insertion order; dists runs along ids."""
-    return [
-        (base + (t,), dists, t == eos)
-        for base, dists, tokens in groups
-        for t in tokens
-    ]
+def invalid_prefixes(trace, groups, eos):
+    """invalid_set's groups for ``trace`` expanded to one (ids, dists,
+    terminated) per invalid prefix, by depth and then token; dists runs
+    along ids."""
+    import numpy as np
+
+    ids, dists = trace.tokens.ids, trace.step_dists
+    out = []
+    for depth in sorted(groups):
+        group = groups[depth]
+        if isinstance(group, np.ndarray):  # a viability mask
+            tokens = np.flatnonzero(~group).tolist()
+        else:
+            tokens = sorted(set(group))
+        out += [(ids[:depth] + (t,), dists[: depth + 1], t == eos) for t in tokens]
+    return out

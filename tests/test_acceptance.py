@@ -217,7 +217,7 @@ def test_criterion_2_per_iteration_exactness(arith_lm, arith_checker):
                 break
             trace = sample_one(lm, checker, trie, cfg, rng)
             groups = invalid_set(trace, "cars")
-            for ids, dists, _ in invalid_prefixes(groups, lm.vocab.eos):
+            for ids, dists, _ in invalid_prefixes(trace, groups, lm.vocab.eos):
                 trie.insert_invalid(ids, dists)
     _report(
         2,

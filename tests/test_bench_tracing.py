@@ -1,7 +1,8 @@
-"""The benchmark's traced episode, run small on the arith workload: every
-span ``bench/tracing.py`` puts on the model, the checker, the sampler and
-the trie must still wrap a live name and count calls, and tracing must
-not change what is sampled."""
+"""The benchmark's traced episode, run small on each workload: every span
+``bench/tracing.py`` puts on the model, the checker, the sampler and the
+trie must still wrap a live name and count calls, and tracing must not
+change what is sampled.  arith's groups are V=4 token sets; dfa-v1024's
+are V=1024 viability masks."""
 
 import sys
 from contextlib import nullcontext
@@ -18,8 +19,8 @@ from workloads import WORKLOADS  # noqa: E402
 TARGET = 20
 
 
-def _episode(method, tracer=None):
-    lm, checker = WORKLOADS["arith"]().build()
+def _episode(workload, method, tracer=None):
+    lm, checker = workload.build()
     hook = None
     if tracer is not None:
         tracer.instrument(lm, checker)
@@ -30,11 +31,11 @@ def _episode(method, tracer=None):
         return [w.ids for w in stream]
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_traced_episode_counts_every_layer(method):
+def _check_traced_episode(name, method):
+    workload = WORKLOADS[name]()
     tracer = Tracer()
-    traced = _episode(method, tracer)
-    assert traced == _episode(method)
+    traced = _episode(workload, method, tracer)
+    assert traced == _episode(workload, method)
     assert len(traced) == TARGET
     draw = "gcd_sample" if method == "gcd" else "sample_one"
     for span in ("lm", "mask_first", "complete", draw, "invalid_set"):
@@ -42,3 +43,13 @@ def test_traced_episode_counts_every_layer(method):
     assert tracer.tokens >= sum(len(ids) for ids in traced)
     # the trie hook saw the trie; rs and gcd never write to it
     assert (tracer.nodes_final > 1) == (method in ("ars", "rsft", "cars"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_traced_episode_counts_every_layer(method):
+    _check_traced_episode("arith", method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_traced_dfa_episode_counts_every_layer(method):
+    _check_traced_episode("dfa-v1024", method)

@@ -161,6 +161,15 @@ def test_load_dfa_errors():
         ('alphabet "01"\nstart 0\n0 "2" 1\n', r"^3: byte b'2' outside the alphabet"),
         # the alphabet may come after the edges
         ('start 0\n0 "0" 1\n1 "02" 0\nalphabet "01"\n', r"^3: byte b'2' outside the alphabet"),
+        # a later line must not replace an earlier one
+        ('alphabet "01"\nstart 0\nstart 1\n', r"^3: second 'start' line \(first on line 2\)"),
+        ('alphabet "01"\nstart 0\naccept 1\naccept 0\n', r"^4: second 'accept' line"),
+        ('alphabet "01"\nstart 0\nalphabet "0"\n', r"^3: second 'alphabet' line"),
+        (
+            'alphabet "01"\nstart 0\n0 "0" 1\n0 "0" 0\n',
+            r"^4: second edge for state 0 byte b'0' \(first on line 3\)",
+        ),
+        ('alphabet "01"\nstart 0\n0 "01" 1\n1 "0" 1\n0 "10" 0\n', r"^5: second edge for state 0 byte b'1'"),
     ],
 )
 def test_load_dfa_bad_lines_name_their_number(text, message):

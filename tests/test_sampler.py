@@ -168,12 +168,12 @@ def test_sample_one_requires_mass(arith_lm, arith_checker):
 # -- invalid_set ---------------------------------------------------------------
 
 def _invalid(trace, method, vocab):
-    return invalid_prefixes(invalid_set(trace, method), vocab.eos)
+    return invalid_prefixes(trace, invalid_set(trace, method), vocab.eos)
 
 
 def test_rs_never_updates(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
-    assert invalid_set(trace, "rs") == []
+    assert invalid_set(trace, "rs") == {}
 
 
 def test_ars_adds_shortest_invalid_prefix(arith_lm, arith_checker):
@@ -186,7 +186,7 @@ def test_ars_adds_shortest_invalid_prefix(arith_lm, arith_checker):
 
 def test_ars_skips_accepted(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
-    assert invalid_set(trace, "ars") == []
+    assert invalid_set(trace, "ars") == {}
 
 
 def test_ars_rejected_at_eos_adds_whole_sequence(arith_lm, arith_checker):
@@ -316,8 +316,8 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     rng = make_rng(cfg.seed)
     for dump in dumps:
         trace = sample_one(lm, checker, trie, cfg, rng)
-        for base, dists, tokens in invalid_set(trace, method):
-            trie.insert_invalid_children(base, dists, tokens)
+        for ids, dists, _ in invalid_prefixes(trace, invalid_set(trace, method), lm.vocab.eos):
+            trie.insert_invalid(ids, dists)
         assert trie.dump() == dump
 
 

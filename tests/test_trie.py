@@ -95,11 +95,11 @@ def test_edge_probability_mismatch_names_prefix_and_token(arith_lm):
     root, after_0 = step_dists(arith_lm, [0, 0])
     # the existing child (0, 2) met with the root's conditional
     with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0,\)"):
-        trie.insert_invalid_children((0,), [root, root], [2])
+        trie.update((0,), [root, root], {1: [2]})
     # the path walk meets the root with the conditional at "0"; the
     # largest difference is the one named
     with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(\) "):
-        trie.insert_invalid_children((0,), [after_0, after_0], [1])
+        trie.update((0,), [after_0, after_0], {1: [1]})
 
 
 def test_edge_probability_mismatch_at_a_leaf_changes_nothing(arith_lm):
@@ -110,7 +110,7 @@ def test_edge_probability_mismatch_at_a_leaf_changes_nothing(arith_lm):
     # (0, 2, 2) is a leaf met with the root's conditional; token 1 sorts
     # before it and would be a new leaf
     with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\)"):
-        trie.insert_invalid_children((0, 2), [root, after_0, root], [1, 2])
+        trie.update((0, 2), [root, after_0, root], {2: [1, 2]})
     assert trie.dump() == before
     assert trie.n_nodes == n_nodes
 
@@ -119,11 +119,39 @@ def test_edge_probability_mismatch_through_a_leaf_changes_nothing(arith_lm):
     trie, _ = build(arith_lm, ARS_INSERT)
     before, n_nodes = trie.dump(), trie.n_nodes
     root, after_0, _ = step_dists(arith_lm, [0, 2, 2])
-    # the base passes through the leaf (0, 2, 2), met with the root's conditional
+    # the path passes through the leaf (0, 2, 2), met with the root's conditional
     with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\)"):
-        trie.insert_invalid_children((0, 2, 2), [root, after_0, root, root], [1])
+        trie.update((0, 2, 2), [root, after_0, root, root], {3: [1]})
     assert trie.dump() == before
     assert trie.n_nodes == n_nodes
+
+
+def test_edge_probability_mismatch_below_a_group_changes_nothing(arith_lm):
+    trie, _ = build(arith_lm, ARS_INSERT)
+    before, n_nodes = trie.dump(), trie.n_nodes
+    root, after_0, _ = step_dists(arith_lm, [0, 2, 2])
+    # the root's group is sound, but the path is checked before it is applied
+    with pytest.raises(TrieCorruptionError, match=r"token 2 after prefix \(0, 2\)"):
+        trie.update((0, 2), [root, after_0, root], {0: [3], 2: [1]})
+    assert trie.dump() == before
+    assert trie.n_nodes == n_nodes
+
+
+def test_update_needs_a_conditional_per_depth(arith_lm):
+    trie = InvalidPrefixTrie()
+    with pytest.raises(ValueError, match="step distributions"):
+        trie.update((0, 2), step_dists(arith_lm, [0, 2]), {2: [1]})
+    with pytest.raises(ValueError, match="step distributions"):
+        trie.update((0,), step_dists(arith_lm, [0, 2, 1]), {2: [1]})
+    assert trie.n_nodes == 1 and trie.p_eps == 1.0
+
+
+def test_repeated_tokens_count_one_leaf_each(arith_lm):
+    trie = InvalidPrefixTrie()
+    removed = trie.update((), step_dists(arith_lm, [0]), {0: [2, 3, 2, 2]})
+    assert removed == pytest.approx(0.3, abs=1e-12)
+    assert trie.leaves() == [(2,), (3,)]
+    assert trie.n_nodes == 3 == len(trie.dump().splitlines())
 
 
 def test_reweight_checks_name_the_prefix(arith_lm):
@@ -216,39 +244,70 @@ class _OneByOne:
                 yield from self.lines(child, ids + (token,))
 
 
+def _invalid_tokens(seed, prefix, size):
+    """A fixed invalid set per prefix, as a checker gives one: True at
+    each invalid one-token continuation of ``prefix``."""
+    return np.random.default_rng([seed, len(prefix), *prefix]).random(size) < 0.3
+
+
+def _node_at(trie, ids):
+    node = trie.root
+    for token in ids:
+        node = node.children.get(token)
+        if node is None:
+            return None
+    return node
+
+
 @pytest.mark.parametrize("size, horizon", [(5, 5), (40, 4)])
 def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
-    """Random sibling groups, batched into one trie and inserted prefix by
-    prefix into another: the same prefixes and leaves, the same node count,
-    and every p within rounding."""
+    """Random updates, each with groups at several depths of one path,
+    applied to one trie and inserted prefix by prefix, by depth and then
+    token, into another: the same prefixes and leaves, the same node count,
+    and every p within rounding.  A group is a token list, repeats
+    allowed, or a viability mask from a fixed invalid set per prefix."""
     seen = set()
     for seed in range(6):
         lm = _random_lm(seed, size=size, horizon=horizon)
         rng = np.random.default_rng(seed)
         batched, reference = InvalidPrefixTrie(), _OneByOne()
         for _ in range(40):
-            depth = int(rng.integers(0, horizon - 1))
-            base = tuple(int(t) for t in rng.integers(0, size - 1, size=depth))
-            k = int(rng.integers(0, size + 1))
-            tokens = [int(t) for t in rng.choice(size, size=k, replace=False)]
-            dists = step_dists(lm, base + (0,))
+            length = int(rng.integers(0, horizon - 1))
+            path = tuple(int(t) for t in rng.integers(0, size - 1, size=length))
+            dists = step_dists(lm, path + (0,))
+            depths = rng.choice(length + 1, size=int(rng.integers(1, length + 2)), replace=False)
+            groups = {}
+            want = 0.0
+            for depth in sorted(int(d) for d in depths):
+                invalid = _invalid_tokens(seed, path[:depth], size)
+                node = _node_at(batched, path[:depth])
+                if rng.random() < 0.5:
+                    groups[depth] = ~invalid
+                    tokens = np.flatnonzero(invalid).tolist()
+                    if node is not None and node.swept:
+                        seen.add("swept")
+                else:
+                    k = int(rng.integers(0, size + 1))
+                    groups[depth] = [int(t) for t in rng.integers(0, size, size=k)]
+                    tokens = sorted(set(groups[depth]))
 
-            node, covered = reference.tracked(base)
-            if not tokens:
-                seen.add("empty")
-            elif covered:
-                seen.add("base below a leaf")
-            elif node is not None:
+                ref_node, covered = reference.tracked(path[:depth])
+                if not tokens:
+                    seen.add("empty")
+                elif covered:
+                    seen.add("path through a leaf")
+                elif ref_node is not None:
+                    for t in tokens:
+                        if t in ref_node.invalid:
+                            seen.add("already a leaf")
+                        elif t in ref_node.children:
+                            seen.add("deeper subtree")
+                if lm.vocab.eos in tokens:
+                    seen.add("eos")
                 for t in tokens:
-                    if t in node.invalid:
-                        seen.add("already a leaf")
-                    elif t in node.children:
-                        seen.add("deeper subtree")
-            if lm.vocab.eos in tokens:
-                seen.add("eos")
+                    want += reference.insert(path[:depth] + (t,), dists)
 
-            got = batched.insert_invalid_children(base, dists, tokens)
-            want = sum(reference.insert(base + (t,), dists) for t in sorted(tokens))
+            got = batched.update(path, dists, groups)
             assert abs(got - want) <= _DRIFT
             got_lines = [line.split("\t") for line in batched.dump().splitlines()]
             want_lines = list(reference.lines())
@@ -260,20 +319,44 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
             assert batched.n_nodes == reference.n_nodes
             assert batched.n_nodes == len(batched.dump().splitlines())
             batched.check_local_consistency()
-    want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "base below a leaf"}
+    want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "path through a leaf", "swept"}
     assert want_seen <= seen
+
+
+def _swept_depth(trie, ids):
+    """How many leading prefixes of ``ids``, from the empty one up to
+    ``ids`` itself, are swept."""
+    node = trie.root
+    depth = 0
+    for token in ids:
+        if not node.swept:
+            return depth
+        depth += 1
+        node = node.children.get(token)
+        if node is None:
+            return depth
+    return depth + 1 if node.swept else depth
 
 
 def test_swept_marks_tracked_prefixes_only(arith_lm):
     trie, _ = build(arith_lm, [(0, 2, 2)])
     n_nodes = trie.n_nodes
-    assert trie.swept_depth((0, 2, 1)) == 0
-    trie.mark_swept((0, 2, 1))  # (0, 2, 1) is untracked: left unmarked
+    assert _swept_depth(trie, (0, 2, 1)) == 0
+    # masks with no invalid token along (0, 2, 1), which is untracked:
+    # left unmarked, and no node is made for it
+    viable = np.ones(arith_lm.vocab.size, dtype=bool)
+    dists = step_dists(arith_lm, [0, 2, 1, 0])
+    assert trie.update((0, 2, 1), dists, {d: viable for d in range(4)}) == 0.0
     assert trie.n_nodes == n_nodes
-    assert trie.swept_depth((0, 2, 1)) == 3
-    assert trie.swept_depth((0, 2)) == 3
-    assert trie.swept_depth((1,)) == 1
-    assert trie.swept_depth(()) == 1
+    assert _swept_depth(trie, (0, 2, 1)) == 3
+    assert _swept_depth(trie, (0, 2)) == 3
+    assert _swept_depth(trie, (1,)) == 1
+    assert _swept_depth(trie, ()) == 1
+    # a mask at a swept node is skipped; a token group is not
+    before = trie.dump()
+    assert trie.update((), dists, {0: ~viable}) == 0.0
+    assert trie.dump() == before
+    assert trie.update((), dists, {0: [3]}) > 0.0
 
 
 def test_draw_tables_match_reweight_factors(arith_lm):
