@@ -86,8 +86,10 @@ def make_rng(seed: int) -> np.random.Generator:
 def draw_index(probs, cum, u: float) -> int:
     """Inverse-CDF draw: the smallest positive-mass index i with cum[i] >= u.
 
-    ``probs`` and ``cum`` are lists or arrays; bisecting either is faster
-    than ``searchsorted`` on short vectors and no slower at V=1024.
+    ``probs`` and ``cum`` are lists for an untracked node or gcd and
+    read-only arrays for a tracked node; bisecting either gives the same
+    index on the same values, faster than ``searchsorted`` on short
+    vectors and no slower at V=1024.
     """
     n = len(probs)
     i = bisect_left(cum, u)

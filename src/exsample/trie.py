@@ -18,10 +18,12 @@ leaves, and every node from the deepest one changed up to the root then
 recomputes its p from its ``keep`` and writes it into its parent's.
 
 Each node drawn from keeps its reweighted conditional and running sums
-as Python lists until an update changes p at or below it, so a step
-through an unchanged node costs one ``bisect``.  A group given as a
-viability mask sweeps its node: every invalid one-token continuation is
-then a leaf, so later masks at that node are skipped.
+as read-only float64 arrays until an update changes p at or below it, so
+a step through an unchanged node costs one ``bisect``.  A group given as
+a viability mask sweeps its node, zeroing its invalid shares in one
+multiply: every invalid one-token continuation is then a leaf, so later
+masks at that node are skipped, and an update whose every group is such
+a mask returns after its walk.
 
 Single writer, no concurrent readers: ``draw_tables`` writes too, since
 it fills the per-node cache, so it must be serialized with updates and
@@ -165,11 +167,14 @@ class InvalidPrefixTrie:
         nodes = []  # the tracked nodes of path[:0], path[:1], ...
         node = root if root.dist is not None else None
         reach = deepest  # groups below a leaf on the path change nothing
+        dead = 0  # groups that are masks at swept nodes change nothing
         depth = 0
         while node is not None:
             if dists[depth] is not node.dist:  # spare the call and the slice
                 node.check(dists[depth], path[:depth])
             nodes.append(node)
+            if node.swept and isinstance(groups.get(depth), np.ndarray):
+                dead += 1
             if depth == deepest:
                 break
             token = path[depth]
@@ -177,6 +182,8 @@ class InvalidPrefixTrie:
             if node is None and not nodes[depth].keep[token]:
                 reach = depth
             depth += 1
+        if dead == len(depths):
+            return 0.0
 
         changed = -1
         for depth in depths:
@@ -184,11 +191,14 @@ class InvalidPrefixTrie:
                 break
             group = groups[depth]
             sweep = isinstance(group, np.ndarray)
-            if sweep and depth < len(nodes) and nodes[depth].swept:
-                continue
-            invalid = np.logical_not(group) if sweep else list(set(group))
-            if depth >= len(nodes) and not (invalid.any() if sweep else invalid):
-                continue  # nothing to record, and no node to mark swept
+            if sweep:
+                # swept before, or nothing to record and no node to mark swept
+                if nodes[depth].swept if depth < len(nodes) else group.all():
+                    continue
+            else:
+                invalid = list(set(group))
+                if depth >= len(nodes) and not invalid:
+                    continue
             if not nodes:
                 root.dist, root.keep = dists[0], np.ones(len(dists[0]))
                 nodes.append(root)
@@ -200,17 +210,24 @@ class InvalidPrefixTrie:
             node.swept |= sweep
             keep, children = node.keep, node.children
             if sweep:
-                pruned = [t for t in children if invalid[t]]
+                pruned = [t for t in children if not group[t]]
             else:
                 pruned = [t for t in invalid if t in children]
             for token in pruned:
                 # a longer prefix was inserted earlier; this one dominates it
                 self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
                 keep[token] = 0.0
-            fresh = int(np.count_nonzero(keep[invalid]))  # untracked: new leaves
+            # untracked invalid tokens become new leaves; keep holds finite
+            # values >= 0, so x·1.0 is x and x·0.0 is +0.0
+            if sweep:
+                fresh = int(np.count_nonzero(keep))
+                np.multiply(keep, group, out=keep)
+                fresh -= int(np.count_nonzero(keep))
+            else:
+                fresh = int(np.count_nonzero(keep[invalid]))
+                keep[invalid] = 0.0
             if fresh or pruned:
                 self.n_nodes += fresh
-                keep[invalid] = 0.0
                 changed = depth
             if depth < deepest and path[depth] not in children and not keep[path[depth]]:
                 reach = depth  # the group made the path a leaf
@@ -261,9 +278,10 @@ class InvalidPrefixTrie:
 
     def draw_tables(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
-    ) -> tuple[list[float], list[float]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The reweighted conditional at the tracked node of prefix ``ids``
-        and its running sums, as lists for an inverse-CDF draw.
+        and its running sums, as read-only float64 arrays for an
+        inverse-CDF draw.
 
         Built by the same operations as ``reweight_factors``, checks
         included, and cached on the node until an update changes p at or
@@ -274,8 +292,10 @@ class InvalidPrefixTrie:
         if cached is not None and cached[0] is dist:
             return cached[1], cached[2]
         probs = self._reweight_at(node, dist, ids)
-        node.tables = (dist, probs.tolist(), np.cumsum(probs).tolist())
-        return node.tables[1], node.tables[2]
+        cum = np.cumsum(probs)
+        probs.flags.writeable = cum.flags.writeable = False
+        node.tables = (dist, probs, cum)
+        return probs, cum
 
     def _reweight_at(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]

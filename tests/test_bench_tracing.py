@@ -2,8 +2,9 @@
 ``bench/tracing.py`` puts on the model, the checker, the sampler and the
 trie must still wrap a live name and count calls, and tracing must not
 change what is sampled.  arith's groups are V=4 token sets; dfa-v1024's
-are V=1024 viability masks."""
+are V=1024 viability masks, and its untraced output bits are pinned."""
 
+import hashlib
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -17,6 +18,11 @@ from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 TARGET = 20
+# sha256 of dfa-v1024's sample ids, p_eps trajectories and generation
+# counts for ars, rsft and cars, TARGET accepts each at seed 1: pins the
+# trie's V=1024 draw and update bits, which the golden digest (arith,
+# V=4) does not reach
+DFA_V1024_DIGEST = "77dac820ab0542f07f45b33399cef09bd3962135786f0cc0bdfae6652c0bdc3d"
 
 
 def _episode(workload, method, tracer=None):
@@ -53,3 +59,17 @@ def test_traced_episode_counts_every_layer(method):
 @pytest.mark.parametrize("method", METHODS)
 def test_traced_dfa_episode_counts_every_layer(method):
     _check_traced_episode("dfa-v1024", method)
+
+
+def test_dfa_v1024_output_bits():
+    workload = WORKLOADS["dfa-v1024"]()
+    h = hashlib.sha256()
+    for method in ("ars", "rsft", "cars"):
+        lm, checker = workload.build()
+        cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * TARGET)
+        stream, metrics = run(lm, checker, cfg, TARGET)
+        ids = [w.ids for w in stream]
+        assert len(ids) == TARGET
+        h.update(f"{method}\n{ids!r}\n{metrics.p_eps_trajectory!r}\n".encode())
+        h.update(f"{metrics.generations}\n".encode())
+    assert h.hexdigest() == DFA_V1024_DIGEST

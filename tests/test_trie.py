@@ -366,10 +366,25 @@ def test_draw_tables_match_reweight_factors(arith_lm):
         for prefix, node in trie.nodes():
             dist = arith_lm.next_distribution(Sequence(prefix, False))
             want = trie.reweight_factors(prefix, dist)
-            for _ in range(2):  # built, then served from the cache
-                probs, cum = trie.draw_tables(node, dist, prefix)
-                assert probs == want.tolist()
-                assert cum == np.cumsum(want).tolist()
+            probs, cum = trie.draw_tables(node, dist, prefix)
+            assert probs.dtype == cum.dtype == np.float64
+            assert probs.tobytes() == want.tobytes()
+            assert cum.tobytes() == np.cumsum(want).tobytes()
+            # served from the cache: the same objects
+            again = trie.draw_tables(node, dist, prefix)
+            assert again[0] is probs and again[1] is cum
+
+
+def test_cached_draw_tables_are_read_only(arith_lm):
+    trie, _ = build(arith_lm, CARS_INSERTS)
+    for prefix, node in trie.nodes():
+        dist = arith_lm.next_distribution(Sequence(prefix, False))
+        for table in trie.draw_tables(node, dist, prefix):
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+        probs, cum = trie.draw_tables(node, dist, prefix)
+        assert probs.tobytes() == trie.reweight_factors(prefix, dist).tobytes()
+        assert cum.tobytes() == np.cumsum(probs).tobytes()
 
 
 def test_reweight_untracked_is_identity(arith_lm):
