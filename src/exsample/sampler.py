@@ -28,7 +28,10 @@ tokens each step and renormalize.
 
 Randomness is a seeded counter-based generator (Philox) with one
 inverse-CDF draw per emitted token; ties on a CDF boundary resolve to the
-lower token id, so runs are reproducible across platforms.
+lower token id, so runs are reproducible across platforms.  ``run`` draws
+its uniforms in blocks and hands them out one per emitted token, in
+order: a Philox stream drawn in blocks is the same stream as one drawn a
+value at a time, so the blocks change the cost of a draw, not its bits.
 """
 
 from __future__ import annotations
@@ -64,23 +67,67 @@ class SamplerConfig:
             raise ValueError("max_len must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SampleTrace:
     """One complete generation: the tokens, the full conditional recorded at
-    every step, and viability masks for as long as the prefix stayed viable."""
+    every step, and viability masks for as long as the prefix stayed viable.
+
+    Immutable and slotted like ``Sequence``, and built the same way, by
+    storing the fields straight into their slots.
+    """
 
     tokens: Sequence
     accepted: bool
     step_dists: tuple[NextTokenDistribution, ...]
     step_masks: tuple[np.ndarray, ...]
 
+    def __init__(
+        self,
+        tokens: Sequence,
+        accepted: bool,
+        step_dists: tuple[NextTokenDistribution, ...],
+        step_masks: tuple[np.ndarray, ...],
+    ) -> None:
+        _set_tokens(self, tokens)
+        _set_accepted(self, accepted)
+        _set_step_dists(self, step_dists)
+        _set_step_masks(self, step_masks)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return SampleTrace, (self.tokens, self.accepted, self.step_dists, self.step_masks)
+
     @property
     def lm_calls(self) -> int:
         return len(self.step_dists)
 
 
+_set_tokens = SampleTrace.tokens.__set__
+_set_accepted = SampleTrace.accepted.__set__
+_set_step_dists = SampleTrace.step_dists.__set__
+_set_step_masks = SampleTrace.step_masks.__set__
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+_BLOCK = 512  # uniforms a run draws from its generator at a time
+
+
+class _BlockUniforms:
+    """The uniforms of ``rng``, drawn ``_BLOCK`` at a time: each ``random()``
+    call returns the next one, the value a scalar ``rng.random()`` would
+    have returned in its place."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        def stream() -> Iterator[float]:
+            while True:
+                yield from rng.random(_BLOCK).tolist()
+
+        self.random = stream().__next__
 
 
 def draw_index(probs, cum, u: float) -> int:
@@ -108,17 +155,20 @@ def sample_one(
     checker: ConstraintChecker,
     trie: InvalidPrefixTrie,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
+    rng,
 ) -> SampleTrace:
-    """Draw one terminated sequence from the trie-reweighted model.
+    """Draw one terminated sequence from the trie-reweighted model, one
+    ``rng.random()`` per emitted token.
 
     Viability masks are recorded while the growing prefix remains viable;
     once it leaves the viable set, everything below is already covered by
-    the trie, so mask queries stop.
+    the trie, so mask queries stop, and the sequence is no member, so
+    membership is asked only of a sequence that stayed viable.
     """
     if trie.root.p <= 0.0:
         raise MassExhaustedError("no valid mass left; constraint unreachable")
     eos = lm.vocab.eos
+    random = rng.random
     ids: list[int] = []
     dists: list[NextTokenDistribution] = []
     masks: list[np.ndarray] = []
@@ -136,7 +186,7 @@ def sample_one(
             probs, cum = trie.draw_tables(node, dist, prefix.ids)
         else:
             probs, cum = dist.draw_tables
-        token = draw_index(probs, cum, rng.random())
+        token = draw_index(probs, cum, random())
         ids.append(token)
         if viable and not mask[token]:
             viable = False
@@ -145,7 +195,8 @@ def sample_one(
         if token == eos:
             break
     tokens = Sequence(tuple(ids), True)
-    accepted = checker.is_complete(tokens)
+    # a prefix that failed its mask has no member among its extensions
+    accepted = viable and checker.is_complete(tokens)
     return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
 
 
@@ -203,11 +254,12 @@ def gcd_sample(
     lm: LanguageModel,
     checker: ConstraintChecker,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
+    rng,
     tables: dict | None = None,
 ) -> SampleTrace:
     """Greedy constrained decoding: mask non-viable tokens, renormalize,
-    sample.  Efficient but biased relative to the constrained distribution.
+    sample, one ``rng.random()`` per emitted token.  Efficient but biased
+    relative to the constrained distribution.
 
     If the horizon forces eos while the sequence is not a member (the
     constraint's shortest completion ran past the horizon), the attempt is
@@ -218,6 +270,7 @@ def gcd_sample(
     if tables is None:
         tables = {}
     eos = lm.vocab.eos
+    random = rng.random
     ids: list[int] = []
     dists: list[NextTokenDistribution] = []
     masks: list[np.ndarray] = []
@@ -240,7 +293,7 @@ def gcd_sample(
             raise RuntimeError(
                 "every token masked at a viable prefix; checker is inconsistent"
             )
-        token = draw_index(probs, cum, rng.random())
+        token = draw_index(probs, cum, random())
         ids.append(token)
         if token == eos:
             tokens = Sequence(tuple(ids), True)
@@ -271,7 +324,7 @@ def run(
             f"config horizon {cfg.max_len} does not match the model's {lm.max_len}"
         )
     metrics = RunMetrics(method=cfg.method, seed=cfg.seed)
-    rng = make_rng(cfg.seed)
+    rng = _BlockUniforms(make_rng(cfg.seed))
 
     def stream() -> Iterator[Sequence]:
         method = cfg.method

@@ -223,9 +223,12 @@ class InvalidPrefixTrie:
                 fresh = int(np.count_nonzero(keep))
                 np.multiply(keep, group, out=keep)
                 fresh -= int(np.count_nonzero(keep))
-            else:
-                fresh = int(np.count_nonzero(keep[invalid]))
-                keep[invalid] = 0.0
+            else:  # a few tokens, ars's one: scalar tests beat fancy indexing
+                fresh = 0
+                for token in invalid:
+                    if keep[token]:
+                        keep[token] = 0.0
+                        fresh += 1
             if fresh or pruned:
                 self.n_nodes += fresh
                 changed = depth

@@ -10,15 +10,32 @@ class UnterminatedSequenceError(ValueError):
     """An operation that needs a terminated sequence got an open one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequence:
-    """A token-id string; ``terminated`` is true iff it ends with eos."""
+    """A token-id string; ``terminated`` is true iff it ends with eos.
+
+    An immutable value with no per-instance ``__dict__``: equal and hashed
+    by its fields, and built by storing them straight into its slots,
+    because the sampler builds one per emitted token.
+    """
 
     ids: tuple[int, ...]
     terminated: bool
 
+    def __init__(self, ids: tuple[int, ...], terminated: bool) -> None:
+        _set_ids(self, ids)
+        _set_terminated(self, terminated)
+
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return Sequence, (self.ids, self.terminated)
+
+
+_set_ids = Sequence.ids.__set__
+_set_terminated = Sequence.terminated.__set__
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from exsample import (
     METHODS,
+    DfaChecker,
     EarleyChecker,
     MassExhaustedError,
     NonViablePrefixError,
@@ -11,10 +12,11 @@ from exsample import (
     TrieCorruptionError,
     condition,
     enumerate_lm,
+    make_dfa,
     parse_grammar,
     run,
 )
-from exsample.lm import LanguageModel, NextTokenDistribution
+from exsample.lm import LanguageModel, NextTokenDistribution, TableLM
 from exsample.sampler import (
     SampleTrace,
     draw_index,
@@ -99,6 +101,55 @@ def test_empty_trie_matches_reference_sampler(arith_lm, arith_checker):
         assert trace.tokens.ids == tuple(ref_ids)
 
 
+def _scalar_reference(lm, checker, seed, generations):
+    """(tokens, member) per generation of plain ancestral sampling by
+    ``_reference_draw``, one scalar ``make_rng(seed).random()`` per token."""
+    rng = make_rng(seed)
+    out = []
+    for _ in range(generations):
+        ids = []
+        while True:
+            dist = lm.next_distribution(Sequence(tuple(ids), False))
+            token = _reference_draw(dist.probs, rng.random())
+            ids.append(token)
+            if token == lm.vocab.eos:
+                break
+        out.append((tuple(ids), checker.is_complete(Sequence(tuple(ids), True))))
+    return out
+
+
+def test_run_stream_matches_scalar_draws_across_block_refills(
+    arith_lm, arith_checker, monkeypatch
+):
+    """run draws its uniforms in blocks of 512; over several refills its
+    tokens must be those of one scalar draw per emitted token, and so must
+    sample_one's when it is given the plain Generator."""
+    seed, generations = 11, 600
+    want = _scalar_reference(arith_lm, arith_checker, seed, generations)
+    assert sum(len(ids) for ids, _ in want) > 4 * 512
+
+    trie, rng = InvalidPrefixTrie(), make_rng(seed)
+    cfg = cfg_for(arith_lm, "rs", seed)
+    got = [sample_one(arith_lm, arith_checker, trie, cfg, rng) for _ in range(generations)]
+    assert [(t.tokens.ids, t.accepted) for t in got] == want
+
+    # every step asks the model for its prefix, so the prefixes asked for
+    # spell out every token but each generation's final eos
+    asked = []
+    next_distribution = arith_lm.next_distribution
+
+    def recorded(prefix):
+        asked.append(prefix.ids)
+        return next_distribution(prefix)
+
+    monkeypatch.setattr(arith_lm, "next_distribution", recorded)
+    stream, metrics = run(arith_lm, arith_checker, cfg_for(arith_lm, "rs", seed, cap=generations))
+    accepted = [w.ids for w in stream]
+    assert metrics.generations == generations
+    assert asked == [ids[:i] for ids, _ in want for i in range(len(ids))]
+    assert accepted == [ids for ids, member in want if member]
+
+
 def test_cached_draw_tables_follow_inserts(arith_lm, arith_checker):
     """After effective inserts below nodes already drawn from, the
     sampler's cached tables must give the same tokens as an independent
@@ -140,6 +191,18 @@ def test_trace_accounting(arith_lm, arith_checker):
         assert trace.accepted == arith_checker.is_complete(trace.tokens)
         if trace.accepted:
             assert len(trace.step_masks) == len(trace.tokens.ids)
+
+
+def test_sample_trace_is_an_immutable_value(arith_lm, arith_checker):
+    trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
+    with pytest.raises(AttributeError):
+        trace.accepted = False
+    same = SampleTrace(trace.tokens, trace.accepted, trace.step_dists, ())
+    assert same == SampleTrace(trace.tokens, trace.accepted, trace.step_dists, ())
+    assert hash(same) == hash(SampleTrace(trace.tokens, trace.accepted, trace.step_dists, ()))
+    assert same != SampleTrace(trace.tokens, False, trace.step_dists, ())
+    assert same.lm_calls == 4
+    assert repr(same).startswith("SampleTrace(tokens=Sequence(ids=(0, 2, 1, 3), terminated=True), ")
 
 
 def test_pruned_continuation_never_sampled(arith_lm, arith_checker):
@@ -390,6 +453,55 @@ def test_target_valid_stops_early(arith_lm, arith_checker):
     got = list(stream)
     assert len(got) == 25 and metrics.accepted == 25
     assert metrics.generations < 10000
+
+
+def _ab_instance():
+    """A DFA instance with dead prefixes: (ab)+ over tokens a, b, ab."""
+    vocab = Vocabulary.from_tokens(["a", "b", "ab", "$"], eos=3)
+    lm = TableLM(vocab, {}, [0.3, 0.3, 0.2, 0.2], 6)
+    a, b = ord("a"), ord("b")
+    dfa = make_dfa(3, 0, [2], b"ab", {(0, a): 1, (1, b): 2, (2, a): 1})
+    return lm, DfaChecker(dfa, vocab)
+
+
+@pytest.mark.parametrize("method", ["rs", "cars"])
+@pytest.mark.parametrize("instance", ["arith", "dfa"])
+def test_membership_is_asked_only_of_viable_traces(instance, method, arith_lm, arith_grammar):
+    """A trace that failed a viability mask has no member among its
+    extensions, so run asks is_complete once per accept; its accepted flags
+    must still be those of asking every trace."""
+    for seed in (1, 2, 3):
+        if instance == "arith":
+            lm, checker = arith_lm, EarleyChecker(arith_grammar, arith_lm.vocab)
+            referee = EarleyChecker(arith_grammar, lm.vocab)
+        else:
+            lm, checker = _ab_instance()
+            referee = _ab_instance()[1]
+        calls = 0
+        is_complete = checker.is_complete
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return is_complete(w)
+
+        checker.is_complete = counted
+        stream, metrics = run(lm, checker, cfg_for(lm, method, seed, cap=300))
+        n_accepted = len(list(stream))
+        assert calls == metrics.accepted == n_accepted > 0
+        assert metrics.accepted < metrics.generations
+        cumulative = metrics.cumulative_accepts
+        flags = [b > a for a, b in zip([0] + cumulative, cumulative)]
+
+        trie, rng = InvalidPrefixTrie(), make_rng(seed)
+        want = []
+        for _ in range(metrics.generations):
+            trace = sample_one(lm, referee, trie, cfg_for(lm, method, seed), rng)
+            member = referee.is_complete(trace.tokens)
+            assert trace.accepted == member
+            want.append(member)
+            trie.update(trace.tokens.ids, trace.step_dists, invalid_set(trace, method))
+        assert flags == want
 
 
 # -- gcd ------------------------------------------------------------------------

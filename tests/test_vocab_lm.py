@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +29,28 @@ def test_vocabulary_basics():
     assert s.terminated and len(s) == 4
     assert not v.seq([0, 2]).terminated
     assert v.empty().ids == ()
+
+
+def test_sequence_is_an_immutable_value():
+    s = Sequence((0, 2, 1, 3), True)
+    with pytest.raises(AttributeError):
+        s.ids = (0,)
+    with pytest.raises(AttributeError):
+        s.terminated = False
+    with pytest.raises(AttributeError):
+        del s.ids
+    assert s.ids == (0, 2, 1, 3) and s.terminated
+    same = Sequence(ids=(0, 2, 1, 3), terminated=True)
+    assert same == s and hash(same) == hash(s) and same is not s
+    assert len({s, same}) == 1
+    assert s != Sequence((0, 2, 1, 3), False)
+    assert s != Sequence((0, 2, 1), True)
+    assert s != ((0, 2, 1, 3), True) and s != (0, 2, 1, 3)
+    assert repr(s) == "Sequence(ids=(0, 2, 1, 3), terminated=True)"
+    assert len(s) == 4 and len(Sequence((), False)) == 0
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s)
+        assert type(twin) is Sequence
 
 
 def test_vocabulary_rejects_bad_shapes():
