@@ -21,7 +21,7 @@ from .metrics import (
     empirical_tv,
     lm_reference,
 )
-from .oracle import condition, enumerate_lm
+from .oracle import condition, constrained_mass, enumerate_lm
 from .sampler import METHODS, SamplerConfig, run
 from .vocab import Vocabulary
 
@@ -227,7 +227,7 @@ def oracle_report(cfg: ExperimentConfig) -> str:
     checker = load_constraint(cfg.constraint, lm.vocab)
     dist = enumerate_lm(lm)
     members = [w for w in dist.table if checker.is_complete(w)]
-    mass = sum(dist.table[w] for w in members)
+    mass = constrained_mass(dist, checker)
     support = [w for w in members if dist.table[w] > 0.0]
     lines = [
         f"terminated sequences within horizon: {len(dist.table)}",

@@ -17,6 +17,7 @@ all prefixes that reach one state share one mask.
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -261,7 +262,7 @@ def load_dfa(source: str) -> DfaConstraint:
     max_state = -1
     header_line: dict[str, int] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
-        line = line.split("//", 1)[0].strip()
+        line = _COMMENT.sub(r"\1", line).strip()
         if not line:
             continue
         head, *arg = line.split(None, 1)
@@ -280,12 +281,12 @@ def load_dfa(source: str) -> DfaConstraint:
         elif head == "accept":
             accepting = [_state(x, lineno) for x in arg[0].split()]
         else:
-            fields = line.split()
-            if len(fields) != 3:
+            fields = _EDGE.fullmatch(line)  # the quoted field whole, spaces and all
+            if fields is None:
                 raise ValueError(f"{lineno}: expected 'SRC \"bytes\" DST'")
-            src = _state(fields[0], lineno)
-            data = _quoted_bytes(fields[1], lineno)
-            dst = _state(fields[2], lineno)
+            src = _state(fields[1], lineno)
+            data = _quoted_bytes(fields[2], lineno)
+            dst = _state(fields[3], lineno)
             raw_edges.append((lineno, src, data, dst))
             max_state = max(max_state, src, dst)
     if alphabet is None or start is None:
@@ -294,7 +295,7 @@ def load_dfa(source: str) -> DfaConstraint:
     transitions = {}
     edge_line = {}
     for lineno, src, data, dst in raw_edges:
-        for b in data:
+        for b in dict.fromkeys(data):  # a byte listed twice is one edge
             if b not in alphabet:
                 raise ValueError(f"{lineno}: byte {bytes([b])!r} outside the alphabet")
             if (src, b) in edge_line:
@@ -305,6 +306,10 @@ def load_dfa(source: str) -> DfaConstraint:
             edge_line[src, b] = lineno
             transitions[(src, b)] = dst
     return make_dfa(n_states, start, accepting, alphabet, transitions)
+
+
+_COMMENT = re.compile(r'("[^"]*")|//.*')  # a quoted field is kept whole, // in it too
+_EDGE = re.compile(r'(\S+)\s+("[^"]*"|\S+)\s+(\S+)')
 
 
 def _state(text: str, lineno: int) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .lm import LanguageModel, sequence_probability
-from .oracle import ExactDistribution
+from .oracle import ExactDistribution, ordered_sum
 from .vocab import Sequence
 
 
@@ -72,7 +72,7 @@ def empirical_tv(samples: Iterable[Sequence], ref: ExactDistribution) -> float:
     if n == 0:
         raise ValueError("total variation needs at least one sample")
     keys = set(counts) | set(ref.table)
-    return 0.5 * sum(abs(counts.get(w, 0) / n - ref.table.get(w, 0.0)) for w in keys)
+    return 0.5 * ordered_sum(abs(counts.get(w, 0) / n - ref.table.get(w, 0.0)) for w in keys)
 
 
 def lm_reference(samples: Iterable[Sequence], lm: LanguageModel) -> ExactDistribution:
@@ -82,7 +82,7 @@ def lm_reference(samples: Iterable[Sequence], lm: LanguageModel) -> ExactDistrib
     for w in samples:
         if w not in table:
             table[w] = sequence_probability(w, lm)
-    return ExactDistribution(table, sum(table.values()))
+    return ExactDistribution(table, ordered_sum(table.values()))
 
 
 def bootstrap_ci(
@@ -122,7 +122,7 @@ def efficiency_summary(runs: Iterable[RunMetrics], target_valid: int) -> dict:
                 for m in group
                 if len(m.cumulative_accepts) >= k
             ]
-            curve.append((k, sum(rates) / len(rates)))
+            curve.append((k, ordered_sum(rates) / len(rates)))
         out[method] = {
             "runs": len(group),
             "timeouts": timeouts,

@@ -3,8 +3,8 @@ sequence up to the horizon, exact conditioning on a constraint, and exact
 avoidance probabilities for any invalid-prefix set.
 
 These are the independent referees for the trie bookkeeping and for every
-sampler exactness test; summation follows a fixed lexicographic order so
-results are bit-stable across runs.
+sampler exactness test; sums add left to right in a fixed lexicographic
+order, so results are bit-stable across runs and Python versions.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ class ExactDistribution:
 
     def support(self) -> list[Sequence]:
         return [w for w, p in self.table.items() if p > 0.0]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, the bits of ``sum`` up to Python 3.11 (from 3.12
+    ``sum`` compensates float rounding, so its bits depend on the version)."""
+    total = 0  # an empty sum is the int 0, as with ``sum``
+    for x in values:
+        total += x
+    return total
 
 
 def enumerate_lm(lm: LanguageModel) -> ExactDistribution:
@@ -85,7 +94,7 @@ def enumerate_lm(lm: LanguageModel) -> ExactDistribution:
 def condition(dist: ExactDistribution, checker: ConstraintChecker) -> ExactDistribution:
     """Restrict to members of the constraint and renormalize."""
     kept = {w: p for w, p in dist.table.items() if checker.is_complete(w)}
-    mass = sum(kept.values())
+    mass = ordered_sum(kept.values())
     if mass <= 0.0:
         raise ValueError("constraint has no probability mass in the model's support")
     return ExactDistribution({w: p / mass for w, p in kept.items()}, 1.0)
@@ -94,7 +103,7 @@ def condition(dist: ExactDistribution, checker: ConstraintChecker) -> ExactDistr
 def constrained_mass(dist: ExactDistribution, checker: ConstraintChecker) -> float:
     """Total model mass of constraint members (the acceptance rate of plain
     rejection sampling)."""
-    return sum(p for w, p in dist.table.items() if checker.is_complete(w))
+    return ordered_sum(p for w, p in dist.table.items() if checker.is_complete(w))
 
 
 def exact_p(

@@ -1,9 +1,10 @@
 """Left-to-right constrained samplers.
 
-All five methods share one loop: draw a whole sequence, accept it if it
-is a member of the constraint, and record invalid prefixes in the trie.
-The rejection family draws from the model reweighted to avoid the trie;
-the methods differ only in what each generation records:
+All five methods share one loop, down to the per-token draw: draw a whole
+sequence, accept it if it is a member of the constraint, and record
+invalid prefixes in the trie.  The rejection family renormalizes each step
+through the trie, gcd by the step's viability mask; otherwise the methods
+differ only in what each generation records:
 
   rs    nothing; plain rejection sampling
   ars   the rejected sample's shortest invalid prefix
@@ -150,38 +151,51 @@ def draw_index(probs, cum, u: float) -> int:
     return i
 
 
-def sample_one(
+def _draw(
     lm: LanguageModel,
     checker: ConstraintChecker,
-    trie: InvalidPrefixTrie,
+    trie: InvalidPrefixTrie | None,
     cfg: SamplerConfig,
     rng,
+    tables: dict | None,
 ) -> SampleTrace:
-    """Draw one terminated sequence from the trie-reweighted model, one
-    ``rng.random()`` per emitted token.
+    """The per-token loop of every method: draw one terminated sequence,
+    one ``rng.random()`` per emitted token.  A tracked trie node draws from
+    the trie's reweighted conditional, an untracked one from the model's;
+    gcd (``tables`` and no trie) draws from the model masked by the step's
+    viability mask and renormalized, a conditional cached per run.
 
     Viability masks are recorded while the growing prefix remains viable;
     once it leaves the viable set, everything below is already covered by
     the trie, so mask queries stop, and the sequence is no member, so
-    membership is asked only of a sequence that stayed viable.
+    membership is asked only of a sequence that stayed viable.  A masked
+    draw never leaves the viable set.
     """
-    if trie.root.p <= 0.0:
+    if trie is not None and trie.root.p <= 0.0:
         raise MassExhaustedError("no valid mass left; constraint unreachable")
     eos = lm.vocab.eos
     random = rng.random
     ids: list[int] = []
     dists: list[NextTokenDistribution] = []
     masks: list[np.ndarray] = []
-    node = trie.root
+    node = None if trie is None else trie.root
     viable = True
     while True:
         prefix = Sequence(tuple(ids), False)
         dist = lm.next_distribution(prefix)
         dists.append(dist)
-        mask = None
         if viable:
             mask = checker.viability_mask(prefix)
             masks.append(mask)
+        if tables is not None:  # gcd: draw from the masked conditional instead
+            dist = _masked_dist(tables, dist, mask)
+            if dist is None:
+                if len(ids) == cfg.max_len:
+                    # horizon dead end: eos forced but not a member here
+                    return SampleTrace(prefix, False, tuple(dists), tuple(masks))
+                raise RuntimeError(
+                    "every token masked at a viable prefix; checker is inconsistent"
+                )
         if node is not None:
             probs, cum = trie.draw_tables(node, dist, prefix.ids)
         else:
@@ -198,6 +212,18 @@ def sample_one(
     # a prefix that failed its mask has no member among its extensions
     accepted = viable and checker.is_complete(tokens)
     return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
+
+
+def sample_one(
+    lm: LanguageModel,
+    checker: ConstraintChecker,
+    trie: InvalidPrefixTrie,
+    cfg: SamplerConfig,
+    rng,
+) -> SampleTrace:
+    """Draw one terminated sequence from the trie-reweighted model, one
+    ``rng.random()`` per emitted token."""
+    return _draw(lm, checker, trie, cfg, rng, None)
 
 
 def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.ndarray]:
@@ -229,25 +255,16 @@ def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.nda
     return dict(enumerate(masks))
 
 
-def _masked_tables(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
-    """``(total, probs, cum)`` of ``dist`` masked by ``mask`` and renormalized,
-    with probs and cum as lists (None when the mask leaves no mass).
-
-    Cached in ``tables`` per (distribution, mask) pair by object identity;
-    the entry holds both objects, so neither id can be reused while it
-    lives.
-    """
+def _masked_dist(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
+    """``dist`` masked by ``mask`` and renormalized (None when no mass is
+    left), cached in ``tables`` per (distribution, mask) pair."""
     key = (id(dist), id(mask))
     hit = tables.get(key)
-    if hit is None:
+    if hit is None:  # the entry holds both objects, so neither id is reused
         allowed = dist.probs * mask
-        total = allowed.sum()
-        probs = cum = None
-        if total > 0.0:
-            normed = allowed / total
-            probs, cum = normed.tolist(), np.cumsum(normed).tolist()
-        hit = tables[key] = (dist, mask, total, probs, cum)
-    return hit[2:]
+        masked = NextTokenDistribution(allowed) if allowed.any() else None
+        hit = tables[key] = (dist, mask, masked)
+    return hit[2]
 
 
 def gcd_sample(
@@ -264,42 +281,10 @@ def gcd_sample(
     If the horizon forces eos while the sequence is not a member (the
     constraint's shortest completion ran past the horizon), the attempt is
     returned unterminated and not accepted; the caller recounts it.
-    ``tables`` caches the masked draw tables; ``run`` passes one dict for
+    ``tables`` caches the masked distributions; ``run`` passes one dict for
     the whole run, so it lives no longer than the run's model and checker.
     """
-    if tables is None:
-        tables = {}
-    eos = lm.vocab.eos
-    random = rng.random
-    ids: list[int] = []
-    dists: list[NextTokenDistribution] = []
-    masks: list[np.ndarray] = []
-    while True:
-        prefix = Sequence(tuple(ids), False)
-        dist = lm.next_distribution(prefix)
-        mask = checker.viability_mask(prefix)
-        dists.append(dist)
-        masks.append(mask)
-        total, probs, cum = _masked_tables(tables, dist, mask)
-        if total <= 0.0:
-            if len(ids) == cfg.max_len:
-                # horizon dead end: eos forced but not a member here
-                return SampleTrace(
-                    Sequence(tuple(ids), False),
-                    False,
-                    tuple(dists),
-                    tuple(masks),
-                )
-            raise RuntimeError(
-                "every token masked at a viable prefix; checker is inconsistent"
-            )
-        token = draw_index(probs, cum, random())
-        ids.append(token)
-        if token == eos:
-            tokens = Sequence(tuple(ids), True)
-            return SampleTrace(
-                tokens, checker.is_complete(tokens), tuple(dists), tuple(masks)
-            )
+    return _draw(lm, checker, None, cfg, rng, {} if tables is None else tables)
 
 
 def run(

@@ -145,6 +145,28 @@ def test_load_dfa_errors():
         load_dfa('alphabet "01"\nstart 0\naccept 0\n0 x 1\n')
 
 
+def test_load_dfa_quoted_slashes_and_spaces_are_bytes():
+    """``//`` starts a comment only outside quotes, and an edge's quoted
+    field is taken whole, spaces included."""
+    text = """
+alphabet "a/ "  // a comment after a quoted field
+start 0
+accept 2
+0 "//" 1  // slash goes to 1
+1 " " 2
+2 "a" 2   // "quotes" in a comment
+"""
+    dfa = load_dfa(text)
+    assert dfa.alphabet == frozenset(b"a/ ")
+    vocab = Vocabulary.from_tokens(["/", " ", "a", "$"], eos=3)
+    checker = DfaChecker(dfa, vocab)
+    assert checker.is_complete(vocab.seq([0, 1, 2, 3]))
+    assert checker.is_complete(vocab.seq([0, 1, 3]))
+    assert not checker.is_complete(vocab.seq([0, 3]))
+    assert load_dfa('alphabet "a/"\nstart 0\n').alphabet == frozenset(b"a/")
+    assert load_dfa('alphabet "a/"\nstart 0\n0 "/" 0 // "/"\n').transitions[0, ord("/")] == 0
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -159,6 +181,8 @@ def test_load_dfa_errors():
         ('alphabet "01"\nstart 0\naccept 0 -3\n', r"^3: state -3 is negative"),
         ('alphabet "01"\nstart 0\n0 "0" -2\n', r"^3: state -2 is negative"),
         ('alphabet "01"\nstart 0\n0 "2" 1\n', r"^3: byte b'2' outside the alphabet"),
+        ('alphabet "01"\nstart 0\n0 "0 1\n', r"^3: expected a double-quoted byte string"),
+        ('alphabet "01"\nstart 0\n0 "0 1" 1 1\n', r"^3: expected 'SRC \"bytes\" DST'"),
         # the alphabet may come after the edges
         ('start 0\n0 "0" 1\n1 "02" 0\nalphabet "01"\n', r"^3: byte b'2' outside the alphabet"),
         # a later line must not replace an earlier one

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from exsample import EarleyChecker, Sequence, condition, enumerate_lm, parse_grammar
+from exsample import (
+    DfaChecker, EarleyChecker, Sequence, condition, enumerate_lm, make_dfa, parse_grammar
+)
 from exsample.lm import NGramLM, TableLM
-from exsample.oracle import constrained_mass, dump_distribution, exact_p
+from exsample.oracle import ExactDistribution, constrained_mass, dump_distribution, exact_p
 from exsample.trie import InvalidPrefixTrie
 from exsample.vocab import Vocabulary
 from exsample.oracle import StateSpaceError
@@ -101,6 +103,19 @@ def test_condition_empty_support_errors(arith_lm):
     )
     with pytest.raises(ValueError, match="no probability mass"):
         condition(enumerate_lm(arith_lm), too_long)
+
+
+def test_masses_add_left_to_right_on_every_python():
+    """Member masses add in table order, one rounding per addition, the
+    bits Python 3.10 and 3.11 give; the compensated builtin ``sum`` of
+    Python 3.12+ would give 0.6 here."""
+    vocab = Vocabulary.from_tokens(["a", "b", "$"], eos=2)
+    checker = DfaChecker(make_dfa(1, 0, [0], b"ab", {(0, ord("a")): 0}), vocab)
+    table = {vocab.seq([0, 2]): 0.1, vocab.seq([1, 2]): 0.4, vocab.seq([0, 0, 2]): 0.2,
+             vocab.seq([0, 0, 0, 2]): 0.3}
+    dist = ExactDistribution(table, 1.0)
+    assert constrained_mass(dist, checker) == 0.6000000000000001
+    assert condition(dist, checker).table[vocab.seq([0, 2])] == 0.1 / 0.6000000000000001
 
 
 def test_exact_p_empty_invalid_set(arith_lm):

@@ -520,6 +520,21 @@ def test_gcd_unrestricted_equals_unconstrained(arith_lm):
         assert constrained.accepted
 
 
+def test_gcd_draws_without_the_module_sample_one(arith_lm, arith_checker, monkeypatch):
+    """gcd_sample runs the shared per-token loop itself, not through the
+    module-level ``sample_one``: a tracer that wraps each name counts gcd's
+    draws under gcd_sample alone."""
+    import exsample.sampler as sampler_mod
+
+    def wrapped(*args):
+        raise AssertionError("gcd_sample went through sample_one")
+
+    monkeypatch.setattr(sampler_mod, "sample_one", wrapped)
+    assert gcd_sample(arith_lm, arith_checker, cfg_for(arith_lm, "gcd"), make_rng(3)).accepted
+    stream, _ = run(arith_lm, arith_checker, cfg_for(arith_lm, "gcd"), target_valid=20)
+    assert len(list(stream)) == 20
+
+
 def test_gcd_two_word_bias(twoword_lm, twoword_checker):
     cfg = cfg_for(twoword_lm, "gcd")
     rng = make_rng(6)
