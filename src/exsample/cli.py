@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"config key 'seeds' has negative seed {seed}")
         if self.target_valid > self.sample_cap:
             raise ValueError("target_valid cannot exceed the sample cap")
         if self.target_valid < 1:

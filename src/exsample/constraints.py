@@ -7,12 +7,16 @@ whether a terminated sequence is a member.  Tokens are matched by their
 surface bytes, consumed byte-by-byte, so checkers are independent of any
 tokenizer.
 
-Each backend is a token automaton that defines only ``_start()``,
+Each backend is a token automaton that defines ``_start()``,
 ``_step(state, token)`` and ``_accepts(state)``.  A state is any hashable
 value; ``None`` is the dead state, which ``_step`` returns once no member
 of L extends the prefix.  The memo lives in one place, the base class: the
 state of every prefix queried, and one read-only mask per live state, so
-all prefixes that reach one state share one mask.
+all prefixes that reach one state share one mask.  A mask is built from
+``_step_all(state)``, which by default steps each token on its own; a
+backend that can step all tokens at once overrides it.  The DFA backend
+does: it steps every surface from every state when it is built, so that
+afterwards a step is one table lookup and a mask one table row.
 """
 
 from __future__ import annotations
@@ -83,15 +87,23 @@ class ConstraintChecker(ABC):
         return state
 
     def _build_mask(self, state: Hashable) -> np.ndarray:
-        """The read-only mask of a live state: every token stepped from it."""
-        mask = np.zeros(self.vocab.size, dtype=bool)
-        for token in range(self.vocab.size):
-            if token == self.vocab.eos:
-                mask[token] = self._accepts(state)
-            else:
-                mask[token] = self._step(state, token) is not None
+        """The read-only mask of a live state: every token stepped from it,
+        and the eos bit from acceptance."""
+        mask = self._step_all(state)
+        mask[self.vocab.eos] = self._accepts(state)
         mask.flags.writeable = False
         return mask
+
+    def _step_all(self, state: Hashable) -> np.ndarray:
+        """A new boolean vector over the vocabulary: bit a iff
+        ``_step(state, a)`` is live, for a live state (the eos bit is not
+        read).  A backend that can step every token at once overrides
+        this; by default each token is stepped on its own."""
+        live = np.zeros(self.vocab.size, dtype=bool)
+        for token in range(self.vocab.size):
+            if token != self.vocab.eos:
+                live[token] = self._step(state, token) is not None
+        return live
 
     @abstractmethod
     def _start(self) -> Hashable | None:
@@ -213,6 +225,9 @@ def make_dfa(
     dead state so the table is total over the declared alphabet."""
     alphabet = frozenset(int(b) for b in alphabet)
     accepting = frozenset(int(s) for s in accepting)
+    for b in sorted(alphabet):
+        if not 0 <= b <= 255:
+            raise ValueError(f"alphabet byte {b} outside 0..255")
     if not 0 <= start < n_states:
         raise ValueError("start state out of range")
     if any(not 0 <= s < n_states for s in accepting):
@@ -221,6 +236,8 @@ def make_dfa(
     need_dead = False
     for (src, byte), dst in transitions.items():
         src, byte, dst = int(src), int(byte), int(dst)
+        if not 0 <= byte <= 255:
+            raise ValueError(f"transition byte {byte} outside 0..255")
         if byte not in alphabet:
             raise ValueError(f"transition byte {byte} outside the DFA alphabet")
         if not (0 <= src < n_states and 0 <= dst < n_states):
@@ -334,30 +351,73 @@ class DfaChecker(ConstraintChecker):
     after the prefix's bytes, live while it is co-reachable; membership is
     acceptance.  So at most one mask is built per co-reachable state,
     however many prefixes are queried.
+
+    Construction runs every surface through the byte automaton at once,
+    from every state, into a token table: row s holds, per token, the live
+    state its bytes lead to from s, or -1.  A step is then one lookup and
+    a state's mask one row compare, whatever the surfaces' lengths.  The
+    table has S×V entries for S automaton states and V tokens, in the
+    narrowest integer type that holds -1 and every state.
     """
 
     def __init__(self, dfa: DfaConstraint, vocab: Vocabulary) -> None:
-        for tid, surface in enumerate(vocab.surfaces):
-            if tid == vocab.eos:
-                continue
-            for b in surface:
-                if b not in dfa.alphabet:
-                    raise ValueError(
-                        f"token {tid} surface byte {bytes([b])!r} outside the DFA alphabet"
-                    )
         self.dfa = dfa
+        self._next = _token_table(dfa, vocab)
         super().__init__(vocab)
 
     def _start(self) -> int | None:
         return self.dfa.start if self.dfa.start in self.dfa.co_reachable else None
 
     def _step(self, state: int, token: int) -> int | None:
-        for b in self.vocab.surfaces[token]:
-            state = self.dfa.transitions[(state, b)]
-        return state if state in self.dfa.co_reachable else None
+        state = self._next.item(state, token)
+        return None if state < 0 else state
+
+    def _step_all(self, state: int) -> np.ndarray:
+        return self._next[state] >= 0
 
     def _accepts(self, state: int) -> bool:
         return state in self.dfa.accepting
+
+
+def _token_table(dfa: DfaConstraint, vocab: Vocabulary) -> np.ndarray:
+    """A DfaChecker's (state, token) table.  Every surface but eos's is
+    stepped from every state at once, one byte position at a time over the
+    surfaces padded to the longest; an end state that is not co-reachable,
+    and eos, become -1.  A byte outside the alphabet leads to an extra
+    state n that keeps the token there, so the same pass finds the first
+    surface, in token order, with such a byte, and raises ValueError
+    naming it and the byte."""
+    n, size = dfa.n_states, vocab.size
+    surfaces = list(vocab.surfaces)
+    surfaces[vocab.eos] = b""
+    lengths = np.fromiter(map(len, surfaces), dtype=np.intp, count=size)
+    flat = np.frombuffer(b"".join(surfaces), dtype=np.uint8)
+    token = np.repeat(np.arange(size), lengths)  # the token of each byte of flat
+    pad = 256  # the byte past a surface's end: every state stays put
+    # padded[j, t]: byte j of surface t, or pad past its end
+    padded = np.full((lengths.max(), size), pad, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    padded[np.arange(flat.size) - starts[token], token] = flat
+    # delta[s * (pad + 1) + b]: the state after byte b from state s
+    delta = np.full((n + 1, pad + 1), n, dtype=np.intp)
+    delta[:n, pad] = np.arange(n)
+    src, byte = zip(*dfa.transitions)
+    delta[src, byte] = list(dfa.transitions.values())
+    delta = delta.ravel()
+    state = np.repeat(np.arange(n)[:, None], size, axis=1)
+    for column in padded:
+        state = delta.take(state * (pad + 1) + column)
+    outside = np.flatnonzero(state[0] == n)
+    if outside.size:
+        tid = int(outside[0])
+        b = next(b for b in surfaces[tid] if b not in dfa.alphabet)
+        raise ValueError(f"token {tid} surface byte {bytes([b])!r} outside the DFA alphabet")
+    live = np.full(n, -1, dtype=np.min_scalar_type(-n))  # -1 and every state fit
+    co_reachable = list(dfa.co_reachable)
+    live[co_reachable] = co_reachable
+    table = live.take(state)
+    table[:, vocab.eos] = -1
+    return table
 
 
 def load_constraint(path: str | Path, vocab: Vocabulary) -> ConstraintChecker:

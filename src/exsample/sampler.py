@@ -62,6 +62,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; want one of {METHODS}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if self.sample_cap < 1:
             raise ValueError("sample_cap must be at least 1")
         if self.max_len < 1:

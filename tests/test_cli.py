@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,7 @@ def test_config_validation(fixtures_dir, tmp_path):
         ("dump_trie", 1, r"'dump_trie' has the wrong type: 1"),
         ("seeds", [1, 2, 1], r"'seeds' repeats 1$"),
         ("methods", ["cars", "rs", "cars"], r"'methods' repeats 'cars'$"),
+        ("seeds", [3, -2], r"'seeds' has negative seed -2$"),
     ],
 )
 def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, value, message):
@@ -80,6 +82,7 @@ def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, 
         pytest.param("x", r"^--seeds: 'x' is not an int", id="x-'x'"),
         pytest.param("1,,2", r"^--seeds: '' is not an int", id="1,,2-''"),
         pytest.param("1..3,2", r"^config key 'seeds' repeats 2$", id="1..3,2-repeat"),
+        pytest.param("1,-1", r"^config key 'seeds' has negative seed -1$", id="1,-1-negative"),
     ],
 )
 def test_bad_seeds_are_a_value_error_naming_the_part(fixtures_dir, tmp_path, seeds, message):
@@ -264,6 +267,27 @@ def test_golden_output_bits(fixtures_dir, tmp_path):
         h.update(path.read_bytes())
         h.update(b"\0")
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_dfa_constraint_runs_end_to_end(fixtures_dir, tmp_path):
+    constraint = tmp_path / "zeros.dfa"  # the README's .dfa example, 0(+0)* over 01+
+    constraint.write_text('alphabet "01+"\nstart 0\naccept 1\n0 "0" 1\n1 "+" 2\n2 "0" 1\n')
+    member = re.compile(r"0(\+0)*")
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        args = ["run", "--lm", str(fixtures_dir / "arith_lm.json"),
+                "--constraint", str(constraint), "--out", str(out),
+                "--methods", "rs,ars,rsft,cars,gcd", "--seeds", "1..2"]
+        assert main(args) == 0
+        trees.append(_read_tree(out))
+    dumps = [name for name in trees[0] if name.startswith("samples_")]
+    assert len(dumps) == 5 * 2
+    for name in dumps:
+        rows = trees[0][name].decode().splitlines()[1:]
+        assert rows, name
+        for row in rows:
+            assert member.fullmatch(row.split("\t")[3]), (name, row)
+    assert trees[0] == trees[1]
 
 
 def test_gcd_dump_trie_writes_root_only_snapshots(fixtures_dir, tmp_path):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +121,35 @@ def test_dfa_rejects_uncovered_vocabulary():
     vocab = Vocabulary.from_tokens(["0", "2", "$"], eos=2)
     with pytest.raises(ValueError, match="outside the DFA alphabet"):
         DfaChecker(_pairs_dfa(), vocab)
+
+
+@pytest.mark.parametrize(
+    "tokens, eos, message",
+    [
+        pytest.param(["0", "1x", "y", "$"], 3, "token 1 surface byte b'x'", id="first-token"),
+        pytest.param(["0", "01", "1z0", "$"], 3, "token 2 surface byte b'z'", id="mid-surface"),
+        # eos's surface is never read, so the first offending token comes after it
+        pytest.param(["0", "$", "10", "0q", "r"], 1, "token 3 surface byte b'q'", id="after-eos"),
+    ],
+)
+def test_dfa_alphabet_error_names_the_first_token_and_byte(tokens, eos, message):
+    vocab = Vocabulary.from_tokens(tokens, eos=eos)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} outside the DFA alphabet$"):
+        DfaChecker(_pairs_dfa(), vocab)
+
+
+@pytest.mark.parametrize(
+    "alphabet, transitions, message",
+    [
+        pytest.param([300, 97], {(0, 300): 1, (0, 97): 0}, "alphabet byte 300", id="alphabet-300"),
+        pytest.param([97, -1], {(0, 97): 0}, "alphabet byte -1", id="alphabet-negative"),
+        pytest.param([97], {(0, 97): 1, (1, 256): 0}, "transition byte 256", id="edge-256"),
+        pytest.param([97], {(0, -3): 0}, "transition byte -3", id="edge-negative"),
+    ],
+)
+def test_make_dfa_rejects_bytes_outside_0_255(alphabet, transitions, message):
+    with pytest.raises(ValueError, match=f"^{message} outside 0..255$"):
+        make_dfa(2, 0, [0], alphabet, transitions)
 
 
 def test_load_dfa_format(tmp_path):
@@ -275,25 +307,59 @@ def random_dfas(draw):
     return make_dfa(n, 0, accepting, alphabet, transitions)
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_dfas())
-def test_dfa_agrees_with_path_search(dfa):
-    checker = DfaChecker(dfa, VOCAB)
+def _agrees_with_path_search(dfa, vocab, depth):
+    """Every viable prefix of fewer than ``depth`` tokens has the path
+    search's mask, and every dead one is dead by the path search too."""
+    checker = DfaChecker(dfa, vocab)
     stack = [()]
     while stack:
         ids = stack.pop()
-        want = _bfs_mask(dfa, VOCAB, ids)
+        want = _bfs_mask(dfa, vocab, ids)
         try:
-            got = checker.viability_mask(VOCAB.seq(ids))
+            got = checker.viability_mask(vocab.seq(ids))
         except NonViablePrefixError:
             # oracle must agree the prefix is dead
-            assert ids == () or not _bfs_mask(dfa, VOCAB, ids[:-1])[ids[-1]]
+            assert ids == () or not _bfs_mask(dfa, vocab, ids[:-1])[ids[-1]]
             continue
         assert got.tolist() == want
         # eos consistency and monotone viability
-        assert checker.is_complete(VOCAB.seq(ids + (VOCAB.eos,))) == got[VOCAB.eos]
-        if len(ids) < 6:
-            stack.extend(ids + (t,) for t in range(VOCAB.size) if t != VOCAB.eos and got[t])
+        assert checker.is_complete(vocab.seq(ids + (vocab.eos,))) == got[vocab.eos]
+        if len(ids) < depth:
+            stack.extend(ids + (t,) for t in range(vocab.size) if t != vocab.eos and got[t])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_dfas())
+def test_dfa_agrees_with_path_search(dfa):
+    _agrees_with_path_search(dfa, VOCAB, 6)
+
+
+@st.composite
+def ragged_dfa_instances(draw):
+    """A DFA over 01+ whose table may miss edges (make_dfa then adds the
+    dead state), and a vocabulary of distinct 1-4 byte surfaces over that
+    alphabet with eos, "$" and outside it, at any id."""
+    n = draw(st.integers(1, 5))
+    alphabet = b"01+"
+    transitions = {}
+    for s in range(n):
+        for b in alphabet:
+            dst = draw(st.none() | st.integers(0, n - 1))
+            if dst is not None:
+                transitions[(s, b)] = dst
+    accepting = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    surface = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4).map(bytes)
+    surfaces = draw(st.lists(surface, min_size=1, max_size=7, unique=True))
+    eos = draw(st.integers(0, len(surfaces)))
+    surfaces.insert(eos, b"$")
+    return make_dfa(n, 0, accepting, alphabet, transitions), Vocabulary(tuple(surfaces), eos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_dfa_instances())
+def test_dfa_with_ragged_surfaces_agrees_with_path_search(instance):
+    dfa, vocab = instance
+    _agrees_with_path_search(dfa, vocab, 3)
 
 
 @st.composite
@@ -461,6 +527,34 @@ def test_dfa_run_builds_at_most_one_mask_per_state(backend, method, monkeypatch)
     assert max(built.values()) == 1
     if backend == "dfa":
         assert set(built) == set(dfa.co_reachable)
+
+
+def test_dfa_v1024_token_table_matches_byte_steps(monkeypatch):
+    """On the benchmark's V = 1024 instance, ragged 1-6 byte surfaces: a
+    step is the byte-by-byte walk through the transition table, from every
+    co-reachable state with every token, and each state's mask is the
+    per-token loop's."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import WORKLOADS
+
+    lm, checker = WORKLOADS["dfa-v1024"]().build()
+    dfa, vocab = checker.dfa, lm.vocab
+    assert {len(s) for s in vocab.surfaces} == set(range(1, 7))
+    for state in sorted(dfa.co_reachable):
+        want_mask = np.zeros(vocab.size, dtype=bool)
+        for token, surface in enumerate(vocab.surfaces):
+            if token == vocab.eos:
+                continue
+            end = state
+            for b in surface:
+                end = dfa.transitions[(end, b)]
+            want = end if end in dfa.co_reachable else None
+            assert checker._step(state, token) == want, (state, token)
+            want_mask[token] = want is not None
+        want_mask[vocab.eos] = state in dfa.accepting
+        loop = ConstraintChecker._step_all(checker, state)
+        loop[vocab.eos] = want_mask[vocab.eos]
+        assert checker._build_mask(state).tolist() == want_mask.tolist() == loop.tolist()
 
 
 def test_dfa_prefixes_in_one_state_share_one_readonly_mask():

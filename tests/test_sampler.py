@@ -60,6 +60,8 @@ def test_config_validation():
         SamplerConfig(method="mcmc", seed=1, max_len=5)
     with pytest.raises(ValueError, match="sample_cap"):
         SamplerConfig(method="rs", seed=1, max_len=5, sample_cap=0)
+    with pytest.raises(ValueError, match="^seed -1 is negative$"):
+        SamplerConfig(method="rs", seed=-1, max_len=5)
 
 
 def test_run_checks_horizon(arith_lm, arith_checker):
