@@ -256,9 +256,12 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         lo, dots, hi = part.partition("..")
         try:
-            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+            first, last = int(lo), int(hi if dots else lo)
         except ValueError:
             raise ValueError(f"--seeds: {part!r} is not an int or an a..b range") from None
+        if last < first:
+            raise ValueError(f"--seeds: {part!r} is a reversed range")
+        out.extend(range(first, last + 1))
     return out
 
 

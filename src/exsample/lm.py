@@ -10,15 +10,17 @@ over terminated sequences is 1.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import urllib.error
+import urllib.request
 import warnings
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 import numpy as np
-import requests
 
 from .vocab import Sequence, UnterminatedSequenceError, Vocabulary
 
@@ -272,48 +274,43 @@ class NGramLM(LanguageModel):
         return dist
 
 
-def load_ngram_lm(source: str | Path | IO[str]) -> NGramLM:
-    """Load an n-gram LM from a JSON corpus document (path or open file)."""
-    return ngram_lm_from_doc(read_doc(source, "n-gram LM"))
-
-
 class RemoteLM(LanguageModel):
     """Client for a next-token log-probability endpoint.
 
     Wire format: POST {"prefix": [ids]} -> 200 with {"logprobs": [float] *
     vocab size}.  Responses are exponentiated, renormalized and cached per
     prefix for the lifetime of the client, so a prefix is queried over the
-    network at most once per run.
+    network at most once per run.  Each query is one standard-library POST on
+    its own connection.  Any status but 200, a refused, unreachable or timed-out
+    connection, and a reply that is not HTTP or not JSON are a TransportError.
     """
 
     def __init__(
-        self,
-        vocab: Vocabulary,
-        endpoint: str,
-        max_len: int,
-        timeout: float = 10.0,
-        session: requests.Session | None = None,
+        self, vocab: Vocabulary, endpoint: str, max_len: int, timeout: float = 10.0
     ) -> None:
         super().__init__(vocab, max_len)
         self.endpoint = endpoint
         self._timeout = timeout
-        self._session = session or requests.Session()
         self._cache: dict[tuple[int, ...], NextTokenDistribution] = {}
 
     def _conditional(self, ids: tuple[int, ...]) -> NextTokenDistribution:
         hit = self._cache.get(ids)
         if hit is not None:
             return hit
+        body = json.dumps({"prefix": list(ids)}).encode()
+        request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
         try:
-            resp = self._session.post(
-                self.endpoint, json={"prefix": list(ids)}, timeout=self._timeout
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self._timeout) as resp:
+                status, reply = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # a status outside 2xx
+            exc.close()
+            raise TransportError(f"logit endpoint returned HTTP {exc.code}") from exc
+        except (OSError, http.client.HTTPException) as exc:  # a read timeout is an OSError
             raise TransportError(f"logit endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"logit endpoint returned HTTP {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"logit endpoint returned HTTP {status}")
         try:
-            payload = resp.json()
+            payload = json.loads(reply)
         except ValueError as exc:
             raise TransportError("logit endpoint returned non-JSON body") from exc
         logprobs = payload.get("logprobs") if isinstance(payload, dict) else None

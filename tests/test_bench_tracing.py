@@ -43,9 +43,10 @@ def _check_traced_episode(name, method):
     traced = _episode(workload, method, tracer)
     assert traced == _episode(workload, method)
     assert len(traced) == TARGET
-    draw = "gcd_sample" if method == "gcd" else "sample_one"
+    draw, other = ("gcd_sample", "sample_one") if method == "gcd" else ("sample_one", "gcd_sample")
     for span in ("lm", "mask_first", "complete", draw, "invalid_set"):
         assert tracer.count[span] > 0, span
+    assert tracer.count[other] == 0, other  # no token is counted under both spans
     assert tracer.tokens >= sum(len(ids) for ids in traced)
     # the trie hook saw the trie; rs and gcd never write to it
     assert (tracer.nodes_final > 1) == (method in ("ars", "rsft", "cars"))

@@ -83,6 +83,8 @@ def test_bad_config_key_is_a_value_error_naming_it(fixtures_dir, tmp_path, key, 
         pytest.param("1,,2", r"^--seeds: '' is not an int", id="1,,2-''"),
         pytest.param("1..3,2", r"^config key 'seeds' repeats 2$", id="1..3,2-repeat"),
         pytest.param("1,-1", r"^config key 'seeds' has negative seed -1$", id="1,-1-negative"),
+        pytest.param("1,5..3", r"^--seeds: '5\.\.3' is a reversed range$", id="1,5..3-reversed"),
+        pytest.param("5..3", r"^--seeds: '5\.\.3' is a reversed range$", id="5..3-reversed"),
     ],
 )
 def test_bad_seeds_are_a_value_error_naming_the_part(fixtures_dir, tmp_path, seeds, message):

@@ -1,6 +1,10 @@
 import json
 import math
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -11,14 +15,15 @@ from exsample.vocab import Vocabulary
 
 
 class _LogitHandler(BaseHTTPRequestHandler):
-    """Configurable test endpoint; the server object carries the behavior."""
+    """Configurable test endpoint; the server object carries the behavior.
+    A bytes payload is sent as the body verbatim."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         self.server.hits += 1
         status, payload = self.server.respond(request["prefix"])
-        body = json.dumps(payload).encode()
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -39,6 +44,7 @@ def server():
     yield srv
     srv.shutdown()
     thread.join()
+    srv.server_close()
 
 
 def _client(server, max_len=5):
@@ -103,3 +109,65 @@ def test_unreachable_endpoint_is_transport_error():
     lm = RemoteLM(vocab, "http://127.0.0.1:1/logits", max_len=3, timeout=0.2)
     with pytest.raises(TransportError, match="unreachable"):
         lm.next_distribution(vocab.empty())
+
+
+def test_any_status_but_200_is_transport_error(server):
+    server.respond = lambda prefix: (201, {"logprobs": [0.0, 0.0, 0.0, 0.0]})
+    lm = _client(server)
+    with pytest.raises(TransportError, match="201"):
+        lm.next_distribution(lm.vocab.empty())
+
+
+def test_non_json_body_is_transport_error(server):
+    server.respond = lambda prefix: (200, b"<html>not json</html>")
+    lm = _client(server)
+    with pytest.raises(TransportError, match="non-JSON"):
+        lm.next_distribution(lm.vocab.empty())
+
+
+def test_silent_endpoint_times_out_as_transport_error():
+    # the kernel completes the handshake into the backlog, but nothing
+    # ever reads the request or answers it
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/logits"
+        lm = RemoteLM(vocab, url, max_len=3, timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="unreachable"):
+            lm.next_distribution(vocab.empty())
+        assert time.monotonic() - start < 5.0
+
+
+def test_reply_that_is_not_http_is_transport_error():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"SSH-2.0-not-http\r\n\r\n")
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/logits"
+        lm = RemoteLM(vocab, url, max_len=3, timeout=5.0)
+        with pytest.raises(TransportError):
+            lm.next_distribution(vocab.empty())
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+def test_the_package_imports_without_requests():
+    code = (
+        "import sys; sys.modules['requests'] = None; "
+        "import exsample.cli, exsample.lm"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,11 +5,12 @@ import csv
 import importlib.util
 import itertools
 import threading
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from exsample import METHODS, load_table_lm
 from exsample.lm import RemoteLM
@@ -85,4 +86,7 @@ def test_served_table_lm_matches_the_table(arith_server):
 )
 def test_served_table_lm_answers_a_bad_body_with_400(arith_server, body):
     _, url = arith_server
-    assert requests.post(url, data=body, timeout=10).status_code == 400
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(urllib.request.Request(url, data=body), timeout=10)
+    err.value.close()
+    assert err.value.code == 400

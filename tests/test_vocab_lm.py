@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from exsample import Sequence, enumerate_lm, load_table_lm
+from exsample.cli import ExperimentConfig, load_lm
 from exsample.lm import (
     NGramLM,
     NextTokenDistribution,
     TableLM,
     TerminatedPrefixError,
-    load_ngram_lm,
     ngram_lm_from_doc,
     sequence_probability,
     table_lm_from_doc,
@@ -257,11 +257,17 @@ def _corpus_doc():
     }
 
 
+def _load_file_lm(path):
+    """The model in an LM file, read as ``exsample --lm path`` reads it."""
+    return load_lm(ExperimentConfig(lm=str(path), constraint="unused.g"))
+
+
 def test_ngram_lm_from_doc_matches_the_file_loader(tmp_path):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps(_corpus_doc()))
-    from_file = load_ngram_lm(path)
+    from_file = _load_file_lm(path)
     from_doc = ngram_lm_from_doc(_corpus_doc())
+    assert isinstance(from_file, NGramLM)
     for ids in [(), (0,), (0, 2), (1, 2, 0)]:
         prefix = from_doc.vocab.seq(ids)
         assert from_doc.next_distribution(prefix).probs.tolist() == (
@@ -270,12 +276,14 @@ def test_ngram_lm_from_doc_matches_the_file_loader(tmp_path):
     assert from_doc.max_len == from_file.max_len == 6
 
 
-def test_load_ngram_lm_errors():
+def test_load_ngram_lm_errors(tmp_path):
     doc = _corpus_doc()
     del doc["order"]
     with pytest.raises(ValueError, match="n-gram LM document is missing 'order'"):
         ngram_lm_from_doc(doc)
-    with pytest.raises(ValueError, match="malformed n-gram LM document"):
-        load_ngram_lm(io.StringIO("{not json"))
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        load_ngram_lm(io.StringIO("[1, 2]"))
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="n-gram LM document is missing 'order'"):
+        _load_file_lm(path)
+    # a file that is not JSON, or not an object: test_cli's
+    # test_bad_json_file_is_a_value_error_naming_it[*-lm]
