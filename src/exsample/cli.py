@@ -21,7 +21,7 @@ from .metrics import (
     empirical_tv,
     lm_reference,
 )
-from .oracle import condition, constrained_mass, enumerate_lm
+from .oracle import condition, enumerate_lm, ordered_sum
 from .sampler import METHODS, SamplerConfig, run
 from .vocab import Vocabulary
 
@@ -230,7 +230,7 @@ def oracle_report(cfg: ExperimentConfig) -> str:
     checker = load_constraint(cfg.constraint, lm.vocab)
     dist = enumerate_lm(lm)
     members = [w for w in dist.table if checker.is_complete(w)]
-    mass = constrained_mass(dist, checker)
+    mass = ordered_sum(dist.table[w] for w in members)
     support = [w for w in members if dist.table[w] > 0.0]
     lines = [
         f"terminated sequences within horizon: {len(dist.table)}",

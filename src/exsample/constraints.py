@@ -10,13 +10,14 @@ tokenizer.
 Each backend is a token automaton that defines ``_start()``,
 ``_step(state, token)`` and ``_accepts(state)``.  A state is any hashable
 value; ``None`` is the dead state, which ``_step`` returns once no member
-of L extends the prefix.  The memo lives in one place, the base class: the
-state of every prefix queried, and one read-only mask per live state, so
-all prefixes that reach one state share one mask.  A mask is built from
-``_step_all(state)``, which by default steps each token on its own; a
-backend that can step all tokens at once overrides it.  The DFA backend
-does: it steps every surface from every state when it is built, so that
-afterwards a step is one table lookup and a mask one table row.
+of L extends the prefix.  The base class keeps the memo, per state and not
+per prefix: it builds the automaton lazily, one node per live state
+reached, holding the state's read-only mask and each token's successor,
+linked to the successor's node once that step is taken.  A query walks
+from the start node, so a step already taken is one list index.  A node is
+built from ``_step_all(state)``, which by default steps each token on its
+own; the DFA backend overrides it with one row of the token table that it
+steps every surface into when it is built.
 """
 
 from __future__ import annotations
@@ -29,24 +30,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .grammar import Grammar, nullable_set, parse_grammar, reduce_grammar
+from .grammar import EmptyLanguageError, Grammar, nullable_set, parse_grammar, reduce_grammar
 from .vocab import Sequence, UnterminatedSequenceError, Vocabulary
-
-_MISSING = object()
 
 
 class NonViablePrefixError(ValueError):
     """A mask was requested for a prefix that cannot reach the language."""
 
 
+@dataclass(slots=True, eq=False)
+class _Node:
+    """A live state's read-only mask and, per token, its successor: the
+    state, then its node once the step is taken; ``None`` where dead."""
+
+    mask: np.ndarray
+    next: list
+
+
 class ConstraintChecker(ABC):
-    """A token automaton with the memo of its answers.  A subclass sets up
-    what its ``_start`` needs before it calls this ``__init__``."""
+    """A token automaton, built lazily from its start state.  A subclass
+    sets up what its ``_start`` needs before it calls this ``__init__``."""
 
     def __init__(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
-        self._states: dict[tuple[int, ...], Hashable | None] = {(): self._start()}
-        self._masks: dict[Hashable, np.ndarray] = {}
+        self._root: _Node | None = None
+        self._nodes: dict[Hashable, _Node] = {}
 
     def viability_mask(self, u: Sequence) -> np.ndarray:
         """Read-only boolean vector over the vocabulary: bit a iff u·a is
@@ -57,57 +65,53 @@ class ConstraintChecker(ABC):
         """
         if u.terminated:
             raise ValueError("cannot extend a terminated sequence")
-        state = self._state(u.ids)
-        if state is None:
+        node = self._walk(u.ids)
+        if node is None:
             raise NonViablePrefixError(f"prefix {u.ids} is not viable")
-        mask = self._masks.get(state)
-        if mask is None:
-            mask = self._masks[state] = self._build_mask(state)
-        return mask
+        return node.mask
 
     def is_complete(self, w: Sequence) -> bool:
         """Membership test for a terminated sequence."""
         if not w.terminated:
             raise UnterminatedSequenceError("membership needs a terminated sequence")
-        state = self._state(w.ids[:-1])
-        return state is not None and self._accepts(state)
+        node = self._walk(w.ids[:-1])
+        return node is not None and bool(node.mask[self.vocab.eos])
 
-    def _state(self, ids: tuple[int, ...]) -> Hashable | None:
-        """The state of prefix ``ids``, stepped on from its longest
-        memoized prefix; every prefix stepped through is memoized."""
-        state = self._states.get(ids, _MISSING)
-        if state is _MISSING:
-            k = len(ids) - 1
-            while (state := self._states.get(ids[:k], _MISSING)) is _MISSING:
-                k -= 1
-            for k in range(k, len(ids)):
-                if state is not None:
-                    state = self._step(state, ids[k])
-                self._states[ids[: k + 1]] = state
-        return state
+    def _walk(self, ids: tuple[int, ...]) -> _Node | None:
+        """The node of prefix ``ids``, or None once a step is dead.  A step
+        not taken before links the successor's node, built on first use."""
+        node = self._root
+        if node is None:
+            node = self._root = self._new_node(self._start())
+        for token in ids:
+            child = node.next[token]
+            if child.__class__ is not _Node:
+                if child is None:
+                    return None
+                child = node.next[token] = self._nodes.get(child) or self._new_node(child)
+            node = child
+        return node
 
-    def _build_mask(self, state: Hashable) -> np.ndarray:
-        """The read-only mask of a live state: every token stepped from it,
-        and the eos bit from acceptance."""
-        mask = self._step_all(state)
+    def _new_node(self, state: Hashable) -> _Node:
+        """The node of a live state not reached before: every token stepped
+        from it, and the mask's eos bit from acceptance."""
+        successors = self._step_all(state)
+        mask = np.fromiter((s is not None for s in successors), dtype=bool, count=self.vocab.size)
         mask[self.vocab.eos] = self._accepts(state)
         mask.flags.writeable = False
-        return mask
+        node = self._nodes[state] = _Node(mask, successors)
+        return node
 
-    def _step_all(self, state: Hashable) -> np.ndarray:
-        """A new boolean vector over the vocabulary: bit a iff
-        ``_step(state, a)`` is live, for a live state (the eos bit is not
-        read).  A backend that can step every token at once overrides
-        this; by default each token is stepped on its own."""
-        live = np.zeros(self.vocab.size, dtype=bool)
-        for token in range(self.vocab.size):
-            if token != self.vocab.eos:
-                live[token] = self._step(state, token) is not None
-        return live
+    def _step_all(self, state: Hashable) -> list:
+        """A new list of ``_step(state, a)`` for each token a of a live
+        state, ``None`` for eos.  A backend that can step every token at
+        once overrides this loop."""
+        eos = self.vocab.eos
+        return [None if t == eos else self._step(state, t) for t in range(self.vocab.size)]
 
     @abstractmethod
-    def _start(self) -> Hashable | None:
-        """The state of the empty prefix."""
+    def _start(self) -> Hashable:
+        """The state of the empty prefix, which is live."""
 
     @abstractmethod
     def _step(self, state: Hashable, token: int) -> Hashable | None:
@@ -177,9 +181,7 @@ class EarleyChecker(ConstraintChecker):
             rhs = self._prods[pi][1]
             if dot < len(rhs) and not isinstance(rhs[dot], str) and byte in rhs[dot]:
                 seed.add((pi, dot + 1, org))
-        if not seed:
-            return frozenset()
-        return self._closure(cols, seed, pos)
+        return self._closure(cols, seed, pos)  # empty for an empty seed
 
     def _start(self) -> tuple:
         return (self._closure([], {(0, 0, 0)}, 0),)
@@ -206,7 +208,7 @@ class DfaConstraint:
     and the exact co-reachable set (states from which accepting states are
     reachable), computed by backward fixpoint."""
 
-    n_states: int
+    state_count: int
     start: int
     accepting: frozenset[int]
     alphabet: frozenset[int]
@@ -215,7 +217,7 @@ class DfaConstraint:
 
 
 def make_dfa(
-    n_states: int,
+    state_count: int,
     start: int,
     accepting,
     alphabet,
@@ -228,33 +230,26 @@ def make_dfa(
     for b in sorted(alphabet):
         if not 0 <= b <= 255:
             raise ValueError(f"alphabet byte {b} outside 0..255")
-    if not 0 <= start < n_states:
+    if not 0 <= start < state_count:
         raise ValueError("start state out of range")
-    if any(not 0 <= s < n_states for s in accepting):
+    if any(not 0 <= s < state_count for s in accepting):
         raise ValueError("accepting state out of range")
     table = {}
-    need_dead = False
     for (src, byte), dst in transitions.items():
         src, byte, dst = int(src), int(byte), int(dst)
         if not 0 <= byte <= 255:
             raise ValueError(f"transition byte {byte} outside 0..255")
         if byte not in alphabet:
             raise ValueError(f"transition byte {byte} outside the DFA alphabet")
-        if not (0 <= src < n_states and 0 <= dst < n_states):
+        if not (0 <= src < state_count and 0 <= dst < state_count):
             raise ValueError("transition state out of range")
         table[(src, byte)] = dst
-    dead = n_states
-    for s in range(n_states):
-        for b in alphabet:
-            if (s, b) not in table:
-                table[(s, b)] = dead
-                need_dead = True
-    total_states = n_states + 1 if need_dead else n_states
-    if need_dead:
-        for b in alphabet:
-            table[(dead, b)] = dead
+    missing = [(s, b) for s in range(state_count) for b in alphabet if (s, b) not in table]
+    if missing:  # they go to an added dead state, which loops on every byte
+        dead, state_count = state_count, state_count + 1
+        table.update(dict.fromkeys(missing + [(dead, b) for b in alphabet], dead))
     # backward reachability from accepting states
-    preds: dict[int, set[int]] = {s: set() for s in range(total_states)}
+    preds: dict[int, set[int]] = {s: set() for s in range(state_count)}
     for (src, _), dst in table.items():
         preds[dst].add(src)
     co = set(accepting)
@@ -265,9 +260,7 @@ def make_dfa(
             if p not in co:
                 co.add(p)
                 frontier.append(p)
-    return DfaConstraint(
-        total_states, start, accepting, alphabet, table, frozenset(co)
-    )
+    return DfaConstraint(state_count, start, accepting, alphabet, table, frozenset(co))
 
 
 def load_dfa(source: str) -> DfaConstraint:
@@ -308,7 +301,7 @@ def load_dfa(source: str) -> DfaConstraint:
             max_state = max(max_state, src, dst)
     if alphabet is None or start is None:
         raise ValueError("dfa file needs 'alphabet' and 'start' lines")
-    n_states = max(max_state, start, max(accepting, default=0)) + 1
+    state_count = max(max_state, start, max(accepting, default=0)) + 1
     transitions = {}
     edge_line = {}
     for lineno, src, data, dst in raw_edges:
@@ -322,7 +315,7 @@ def load_dfa(source: str) -> DfaConstraint:
                 )
             edge_line[src, b] = lineno
             transitions[(src, b)] = dst
-    return make_dfa(n_states, start, accepting, alphabet, transitions)
+    return make_dfa(state_count, start, accepting, alphabet, transitions)
 
 
 _COMMENT = re.compile(r'("[^"]*")|//.*')  # a quoted field is kept whole, // in it too
@@ -349,31 +342,33 @@ def _quoted_bytes(text: str, lineno: int) -> bytes:
 class DfaChecker(ConstraintChecker):
     """Checker for a regular constraint.  A state is the automaton state
     after the prefix's bytes, live while it is co-reachable; membership is
-    acceptance.  So at most one mask is built per co-reachable state,
-    however many prefixes are queried.
+    acceptance, so there is at most one node per co-reachable state.  A
+    start state that is not co-reachable is an EmptyLanguageError.
 
     Construction runs every surface through the byte automaton at once,
     from every state, into a token table: row s holds, per token, the live
     state its bytes lead to from s, or -1.  A step is then one lookup and
-    a state's mask one row compare, whatever the surfaces' lengths.  The
-    table has S×V entries for S automaton states and V tokens, in the
-    narrowest integer type that holds -1 and every state.
+    a state's node one row, whatever the surfaces' lengths.  The table has
+    S×V entries for S automaton states and V tokens, in the narrowest
+    integer type that holds -1 and every state.
     """
 
     def __init__(self, dfa: DfaConstraint, vocab: Vocabulary) -> None:
+        if dfa.start not in dfa.co_reachable:
+            raise EmptyLanguageError(f"start state {dfa.start} reaches no accepting state")
         self.dfa = dfa
         self._next = _token_table(dfa, vocab)
         super().__init__(vocab)
 
-    def _start(self) -> int | None:
-        return self.dfa.start if self.dfa.start in self.dfa.co_reachable else None
+    def _start(self) -> int:
+        return self.dfa.start
 
     def _step(self, state: int, token: int) -> int | None:
         state = self._next.item(state, token)
         return None if state < 0 else state
 
-    def _step_all(self, state: int) -> np.ndarray:
-        return self._next[state] >= 0
+    def _step_all(self, state: int) -> list:
+        return [None if s < 0 else s for s in self._next[state].tolist()]
 
     def _accepts(self, state: int) -> bool:
         return state in self.dfa.accepting
@@ -387,7 +382,7 @@ def _token_table(dfa: DfaConstraint, vocab: Vocabulary) -> np.ndarray:
     state n that keeps the token there, so the same pass finds the first
     surface, in token order, with such a byte, and raises ValueError
     naming it and the byte."""
-    n, size = dfa.n_states, vocab.size
+    n, size = dfa.state_count, vocab.size
     surfaces = list(vocab.surfaces)
     surfaces[vocab.eos] = b""
     lengths = np.fromiter(map(len, surfaces), dtype=np.intp, count=size)

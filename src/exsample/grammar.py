@@ -36,7 +36,8 @@ class GrammarSyntaxError(ValueError):
 
 
 class EmptyLanguageError(ValueError):
-    """Reduction removed the start symbol: the grammar derives nothing."""
+    """The constraint accepts nothing: a grammar's start symbol derives no
+    string, or a DFA's start state reaches no accepting state."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -87,23 +88,26 @@ class Vocabulary:
     def encode(self, text: str | bytes) -> tuple[int, ...]:
         """Greedy longest-match tokenization of ``text`` (eos excluded)."""
         data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-        by_len = sorted(
-            (t for t in range(self.size) if t != self.eos),
-            key=lambda t: len(self.surfaces[t]),
-            reverse=True,
-        )
+        lengths, ids = self._encoder
         out: list[int] = []
         pos = 0
         while pos < len(data):
-            for t in by_len:
-                s = self.surfaces[t]
-                if data[pos : pos + len(s)] == s:
+            for n in lengths:
+                t = ids.get(data[pos : pos + n])
+                if t is not None:
                     out.append(t)
-                    pos += len(s)
+                    pos += len(self.surfaces[t])
                     break
             else:
                 raise ValueError(f"cannot tokenize byte {data[pos:pos+1]!r} at offset {pos}")
         return tuple(out)
+
+    @cached_property
+    def _encoder(self) -> tuple[tuple[int, ...], dict[bytes, int]]:
+        """``encode``'s lookup: the surface lengths, longest first, and the
+        lowest id of each surface but eos's."""
+        ids = {s: t for t, s in reversed(list(enumerate(self.surfaces))) if t != self.eos}
+        return tuple(sorted({len(s) for s in ids}, reverse=True)), ids
 
     def decode(self, seq: Sequence | Iterable[int]) -> bytes:
         ids = seq.ids if isinstance(seq, Sequence) else tuple(seq)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from exsample.cli import ExperimentConfig, main, oracle_report, run_experiment
+from exsample.grammar import EmptyLanguageError
 
 
 def _read_tree(root: Path) -> dict:
@@ -290,6 +291,17 @@ def test_dfa_constraint_runs_end_to_end(fixtures_dir, tmp_path):
         for row in rows:
             assert member.fullmatch(row.split("\t")[3]), (name, row)
     assert trees[0] == trees[1]
+
+
+def test_empty_language_dfa_is_rejected_before_sampling(fixtures_dir, tmp_path):
+    constraint = tmp_path / "empty.dfa"  # accept 2 is unreachable from start 0
+    constraint.write_text('alphabet "01+"\nstart 0\naccept 2\n0 "0" 1\n1 "+" 0\n')
+    out = tmp_path / "out"
+    args = ["run", "--lm", str(fixtures_dir / "arith_lm.json"),
+            "--constraint", str(constraint), "--out", str(out)]
+    with pytest.raises(EmptyLanguageError, match="start state 0"):
+        main(args)
+    assert not out.exists()
 
 
 def test_gcd_dump_trie_writes_root_only_snapshots(fixtures_dir, tmp_path):

@@ -13,7 +13,7 @@ from exsample import (
     parse_grammar,
 )
 from exsample.constraints import ConstraintChecker, load_dfa
-from exsample.grammar import Grammar
+from exsample.grammar import EmptyLanguageError, Grammar
 from exsample.vocab import Vocabulary
 
 VOCAB = Vocabulary.from_tokens(["0", "1", "+", "$"], eos=3)
@@ -309,8 +309,13 @@ def random_dfas(draw):
 
 def _agrees_with_path_search(dfa, vocab, depth):
     """Every viable prefix of fewer than ``depth`` tokens has the path
-    search's mask, and every dead one is dead by the path search too."""
-    checker = DfaChecker(dfa, vocab)
+    search's mask, and every dead one is dead by the path search too.  A
+    DFA whose start is dead is rejected at construction."""
+    try:
+        checker = DfaChecker(dfa, vocab)
+    except EmptyLanguageError:
+        assert not any(_bfs_mask(dfa, vocab, ()))
+        return
     stack = [()]
     while stack:
         ids = stack.pop()
@@ -319,7 +324,7 @@ def _agrees_with_path_search(dfa, vocab, depth):
             got = checker.viability_mask(vocab.seq(ids))
         except NonViablePrefixError:
             # oracle must agree the prefix is dead
-            assert ids == () or not _bfs_mask(dfa, vocab, ids[:-1])[ids[-1]]
+            assert not _bfs_mask(dfa, vocab, ids[:-1])[ids[-1]]
             continue
         assert got.tolist() == want
         # eos consistency and monotone viability
@@ -448,11 +453,16 @@ def test_arith_earley_against_bounded_enumeration(arith_checker):
 
 
 def test_empty_language_grammar_rejected_at_construction():
-    from exsample.grammar import EmptyLanguageError
-
     hopeless = Grammar("S", (("S", ("S",)),))
     with pytest.raises(EmptyLanguageError):
         EarleyChecker(hopeless, VOCAB)
+
+
+def test_empty_language_dfa_rejected_at_construction():
+    # accept 2 has no incoming edge, so start 0 reaches no accepting state
+    dfa = load_dfa('alphabet "01+"\nstart 0\naccept 2\n0 "0" 1\n1 "+" 0\n')
+    with pytest.raises(EmptyLanguageError, match="start state 0"):
+        DfaChecker(dfa, VOCAB)
 
 
 def test_checkers_are_deterministic(arith_grammar):
@@ -475,17 +485,18 @@ def _no_bb_dfa():
 
 
 def _count_mask_builds(monkeypatch):
-    """Counter of mask builds per checker state, for either backend."""
+    """Counter of node builds, each with its mask, per checker state, for
+    either backend."""
     from collections import Counter
 
     built = Counter()
-    plain = ConstraintChecker._build_mask
+    plain = ConstraintChecker._new_node
 
     def counted(self, state):
         built[state] += 1
         return plain(self, state)
 
-    monkeypatch.setattr(ConstraintChecker, "_build_mask", counted)
+    monkeypatch.setattr(ConstraintChecker, "_new_node", counted)
     return built
 
 
@@ -532,8 +543,8 @@ def test_dfa_run_builds_at_most_one_mask_per_state(backend, method, monkeypatch)
 def test_dfa_v1024_token_table_matches_byte_steps(monkeypatch):
     """On the benchmark's V = 1024 instance, ragged 1-6 byte surfaces: a
     step is the byte-by-byte walk through the transition table, from every
-    co-reachable state with every token, and each state's mask is the
-    per-token loop's."""
+    co-reachable state with every token; each state's table row is the
+    per-token loop's, and its node's mask is what the walk makes viable."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from workloads import WORKLOADS
 
@@ -542,19 +553,22 @@ def test_dfa_v1024_token_table_matches_byte_steps(monkeypatch):
     assert {len(s) for s in vocab.surfaces} == set(range(1, 7))
     for state in sorted(dfa.co_reachable):
         want_mask = np.zeros(vocab.size, dtype=bool)
+        want_next = []
         for token, surface in enumerate(vocab.surfaces):
             if token == vocab.eos:
+                want_next.append(None)
                 continue
             end = state
             for b in surface:
                 end = dfa.transitions[(end, b)]
             want = end if end in dfa.co_reachable else None
             assert checker._step(state, token) == want, (state, token)
+            want_next.append(want)
             want_mask[token] = want is not None
         want_mask[vocab.eos] = state in dfa.accepting
         loop = ConstraintChecker._step_all(checker, state)
-        loop[vocab.eos] = want_mask[vocab.eos]
-        assert checker._build_mask(state).tolist() == want_mask.tolist() == loop.tolist()
+        assert checker._step_all(state) == want_next == loop
+        assert checker._new_node(state).mask.tolist() == want_mask.tolist()
 
 
 def test_dfa_prefixes_in_one_state_share_one_readonly_mask():

@@ -506,6 +506,34 @@ def test_membership_is_asked_only_of_viable_traces(instance, method, arith_lm, a
         assert flags == want
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("instance", ["arith", "dfa"])
+def test_checker_steps_each_state_token_pair_once(instance, method, arith_lm, arith_grammar):
+    """Over a whole run, the checker steps each (state, token) pair at most
+    once and keeps one node per live state it reached, not an entry per
+    prefix it was asked about."""
+    if instance == "arith":
+        lm, checker = arith_lm, EarleyChecker(arith_grammar, arith_lm.vocab)
+    else:
+        lm, checker = _ab_instance()
+    steps = {}
+    step = checker._step
+
+    def counted(state, token):
+        steps[state, token] = steps.get((state, token), 0) + 1
+        return step(state, token)
+
+    checker._step = counted
+    stream, metrics = run(lm, checker, cfg_for(lm, method, seed=5, cap=300))
+    assert list(stream) and metrics.generations == 300
+    assert max(steps.values(), default=1) == 1
+    if instance == "dfa":
+        live = checker.dfa.co_reachable
+    else:
+        live = {checker._start()} | {step(*pair) for pair in steps} - {None}
+    assert set(checker._nodes) <= live
+
+
 # -- gcd ------------------------------------------------------------------------
 
 def test_gcd_unrestricted_equals_unconstrained(arith_lm):

@@ -1,8 +1,10 @@
 import copy
 import io
+import itertools
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +74,58 @@ def test_encode_decode_longest_match():
     assert v.decode(v.seq([0, 2, 3])) == b"ab"
     with pytest.raises(ValueError):
         v.encode("abc")
+
+
+def _encode_by_scan(vocab, text):
+    """The first ``Vocabulary.encode``: at each offset every token but eos
+    is tried, longest surface first, the lowest id first among equals."""
+    by_len = sorted(
+        (t for t in range(vocab.size) if t != vocab.eos),
+        key=lambda t: len(vocab.surfaces[t]),
+        reverse=True,
+    )
+    out, pos = [], 0
+    while pos < len(text):
+        for t in by_len:
+            s = vocab.surfaces[t]
+            if text[pos : pos + len(s)] == s:
+                out.append(t)
+                pos += len(s)
+                break
+        else:
+            raise ValueError(f"cannot tokenize byte {text[pos:pos+1]!r} at offset {pos}")
+    return tuple(out)
+
+
+def _random_bytes(rng, letters, max_len):
+    return bytes(rng.choice(list(letters), size=int(rng.integers(0, max_len + 1))).tolist())
+
+
+@pytest.mark.parametrize("case", ["v1024", "duplicates"])
+def test_encode_matches_the_scan_over_every_token(case):
+    """Greedy longest match, ties to the lowest id, eos never used, and the
+    same error for an untokenizable byte, on random strings: a V = 1024
+    vocabulary of 1-6 byte surfaces, and a small one with repeated
+    surfaces, one of them eos's."""
+    rng = np.random.default_rng(1024)
+    if case == "v1024":
+        every = [bytes(p) for n in range(1, 7) for p in itertools.product(b"abc", repeat=n)]
+        surfaces = [every[i] for i in rng.permutation(len(every))[:1023]]
+        vocab = Vocabulary(tuple(surfaces) + (b"$",), eos=1023)
+        letters, max_len, n = b"abc" * 8 + b"d", 24, 300  # d is in no surface
+    else:
+        tokens = ["ab", "b", "a", "ab", "ba", "a", "bab", "b", "c"]
+        vocab = Vocabulary.from_tokens(tokens, eos=2)  # eos's "a" is token 5's too
+        letters, max_len, n = b"abc" * 4 + b"d", 12, 2000
+    for _ in range(n):
+        text = _random_bytes(rng, letters, max_len)
+        try:
+            want = _encode_by_scan(vocab, text)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                vocab.encode(text)
+        else:
+            assert vocab.encode(text) == want, text
 
 
 def test_distribution_renormalizes_and_validates():
