@@ -65,7 +65,8 @@ class NextTokenDistribution:
     def draw_tables(self) -> tuple[list[float], list[float]]:
         """``probs`` and its running sums as Python lists, cached for
         inverse-CDF draws: bisecting a list is several times faster than
-        searching an array."""
+        searching an array, and the trie's sum trees read single entries
+        of ``probs`` from the first list."""
         if self._draw_tables is None:
             self._draw_tables = (self.probs.tolist(), np.cumsum(self.probs).tolist())
         return self._draw_tables

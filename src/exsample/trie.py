@@ -1,39 +1,61 @@
 """Invalid-prefix trie with exact probability-mass bookkeeping.
 
 Every tracked node u is a viable prefix carrying the probability p that
-continuing from u avoids all discovered invalid prefixes.  It holds its
-own conditional ``dist`` = P(.|u) and one share vector ``keep`` over the
-vocabulary: keep[a] is p(u·a), that is 1 for an untracked token, 0 for a
-leaf (a discovered invalid prefix u·a, which is no node) and the child's p
-for a tracked child.  So p(u) = sum_a P(a|u)·keep[a], a sum of
-non-negative terms that keeps its relative accuracy however small it
-gets, and the root value is the total mass of sequences avoiding the
-invalid set.  Untracked sequences implicitly have p = 1 (no extension is
-known invalid) or p = 0 (at or below a leaf).
+continuing from u avoids all discovered invalid prefixes.  Each token a
+has a share(a) = p(u·a): the child's p for a tracked child, 0 for a leaf
+(a discovered invalid prefix u·a, which is no node) and 1 otherwise.  So
+p(u) = sum_a P(a|u)·share(a), a sum of non-negative terms that keeps its
+relative accuracy however small it gets, and the root value is the total
+mass of sequences avoiding the invalid set.  Untracked sequences
+implicitly have p = 1 (no extension is known invalid) or p = 0 (at or
+below a leaf).
+
+A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
+its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
+entries of the viability ``mask`` that swept it), and the internal sums
+of a binary sum tree over its V terms P(a|u)·share(a) (Wong & Easton,
+"An efficient method for weighted sampling without replacement", SIAM J.
+Comput. 1980).  The tree is a heap over W leaves, W being V rounded up to
+a power of two: leaf W + t is token t's term (zero past V) and sum i is
+sum 2i plus sum 2i + 1, so sum 1 is p(u).  Only the sums below V are
+stored, at their index in a float64 array of length V, so a node holds V
+floats; a sum at V or above spans two leaves and is added up when read.
+Leaf terms are not stored either: they are computed when read, from
+``dist`` and the shares.
+
+A changed share recomputes the sums on its token's path, at most
+ceil(log2 V) of them, each as left + right from its two children; a draw
+descends the same path: O(log V) either way, where a dense share vector
+costs a V-length sum per change and a V-length table per draw.  No sum
+is ever adjusted by adding or subtracting a delta.  Each is recomputed
+from its children, so it is always a fixed-order sum of the node's
+current terms, its bits a function of those terms alone; float addition
+is monotone, so a share that falls can never raise a sum, and no
+cancellation can eat a tiny remaining mass.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
 along the path.  One walk down checks the path, makes each group's tokens
 leaves, and every node from the deepest one changed up to the root then
-recomputes its p from its ``keep`` and writes it into its parent's.
+recomputes the changed paths of its tree and sets p from its root sum
+(a node no update has changed yet keeps p = 1).  A group given as a
+viability mask sweeps its node: every invalid one-token continuation is
+then a leaf, so later masks at that node are skipped, and an update whose
+every group is such a mask returns after its walk.  A new node copies a
+base tree, which the trie builds once per conditional for an unswept
+node and once per (conditional, mask) pair for a swept one, and drops
+with itself.  A sweep of a node that already has children or leaves
+rebuilds its tree once, in O(V), with the same sums in the same order,
+so the bits are those of the incremental path.
 
-Each node drawn from keeps its reweighted conditional and running sums
-as read-only float64 arrays until an update changes p at or below it, so
-a step through an unchanged node costs one ``bisect``.  A group given as
-a viability mask sweeps its node, zeroing its invalid shares in one
-multiply: every invalid one-token continuation is then a leaf, so later
-masks at that node are skipped, and an update whose every group is such
-a mask returns after its walk.
-
-Single writer, no concurrent readers: ``draw_tables`` writes too, since
-it fills the per-node cache, so it must be serialized with updates and
-with itself; ``p_value`` and ``reweight_factors`` only read.  Nodes must
-not be changed except through the trie's methods, or their cached tables
-go stale.
+Single writer: updates must be serialized; ``draw``, ``p_value`` and
+``reweight_factors`` only read.  Nodes must not be changed except
+through the trie's methods.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,8 +66,8 @@ from .vocab import Sequence
 
 class TrieCorruptionError(RuntimeError):
     """Bookkeeping invariant broke: a conditional disagrees with the one a
-    node stored, a reweighted vector failed its sum check, or a p value
-    left [0, 1] by more than rounding noise."""
+    node stored, a node's sum tree disagrees with its stored p, or a p
+    value left [0, 1] by more than rounding noise."""
 
 
 class MassExhaustedError(RuntimeError):
@@ -55,11 +77,15 @@ class MassExhaustedError(RuntimeError):
 # _EDGE_TOL: a conditional given for a node must match the one it stored,
 #   entry by entry, to this.
 # _DRIFT: p excursions beyond [0,1] by more than this are bugs.
-# _SUM_TOL: a reweighted vector P(a|u)·keep[a] / p(u) must sum to 1 within
-#   this, i.e. the stored p(u) must equal u's kept mass as it stands now.
+# _SUM_TOL: a reweighted conditional P(a|u)·share(a) / p(u) must sum to 1
+#   within this, i.e. the stored p(u) must equal u's kept mass as it
+#   stands now: the tree's total at a draw, the dense sum in
+#   ``reweight_factors``.
 _EDGE_TOL = 1e-12
 _DRIFT = 1e-12
 _SUM_TOL = 1e-8
+
+_TINY = 5e-324  # the least positive float: a draw's target when u·p is 0
 
 
 def _clamped(p: float) -> float:
@@ -74,19 +100,71 @@ def _clamped(p: float) -> float:
     return p
 
 
+def _tree(terms: np.ndarray) -> array:
+    """The internal sums of the sum tree over ``terms``, built bottom-up
+    one height at a time by the same additions as ``_repath``."""
+    size = len(terms)
+    width = 1 << (size - 1).bit_length()
+    heap = np.zeros(width)
+    level = np.zeros(width)
+    level[:size] = terms
+    while width > 1:
+        level = level[0::2] + level[1::2]
+        width >>= 1
+        heap[width : 2 * width] = level
+    return array("d", heap[:size].tobytes())
+
+
+_NO_LEAVES: frozenset[int] = frozenset()
+
+
 class TrieNode:
     """A tracked viable prefix u: ``children`` maps a token t to the node
-    of u·t, and ``keep`` holds p(u·a) for every token a."""
+    of u·t, and ``sums`` holds the sum tree of P(a|u)·p(u·a)."""
 
-    __slots__ = ("children", "dist", "keep", "p", "swept", "tables")
+    __slots__ = ("children", "dist", "invalid", "mask", "p", "sums")
 
     def __init__(self, dist: NextTokenDistribution | None) -> None:
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
-        self.keep = None if dist is None else np.ones(len(dist))
+        self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
+        self.mask = None  # the viability mask that swept the node
         self.p = 1.0
-        self.swept = False  # every invalid one-token continuation is a leaf
-        self.tables = None  # (dist, probs, cum) from the last draw_tables
+        self.sums = None  # the tree's internal sums, set by the first update
+
+    @property
+    def swept(self) -> bool:
+        """Every invalid one-token continuation is a leaf."""
+        return self.mask is not None
+
+    def is_leaf(self, token: int) -> bool:
+        """Whether u·token is a recorded invalid prefix."""
+        mask = self.mask
+        return token in self.invalid or (mask is not None and not mask[token])
+
+    def shares(self) -> np.ndarray:
+        """share(a) = p(u·a) for every token a, densely."""
+        if self.mask is None:
+            shares = np.ones(len(self.dist))
+        else:
+            shares = self.mask.astype(np.float64)
+        if self.invalid:
+            shares[list(self.invalid)] = 0.0
+        for token, child in self.children.items():
+            shares[token] = child.p
+        return shares
+
+    def term(self, probs: list[float], token: int) -> float:
+        """P(token|u)·share(token), ``probs`` being ``dist``'s list."""
+        child = self.children.get(token)
+        if child is not None:
+            return probs[token] * child.p
+        if token in self.invalid:
+            return 0.0
+        mask = self.mask
+        if mask is not None and not mask[token]:
+            return 0.0
+        return probs[token]
 
     def check(self, dist: NextTokenDistribution, ids: tuple[int, ...]) -> None:
         """Raise unless ``dist`` is this node's conditional, to ``_EDGE_TOL``;
@@ -101,16 +179,13 @@ class TrieNode:
                 f"from {float(self.dist.probs[token])!r} to {float(dist.probs[token])!r}"
             )
 
-    def kept_mass(self) -> float:
-        """sum_a P(a|u)·keep[a], by numpy's pairwise sum rather than a BLAS
-        dot, whose bits may depend on the CPU."""
-        return _clamped(float((self.dist.probs * self.keep).sum()))
-
 
 class InvalidPrefixTrie:
     def __init__(self) -> None:
         self.root = TrieNode(None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
+        self._width = 0  # the trees' leaf count, V padded to a power of two
+        self._bases: dict = {}  # (id(dist), id(mask) or None) -> (dist, mask, tree)
 
     @property
     def p_eps(self) -> float:
@@ -179,13 +254,14 @@ class InvalidPrefixTrie:
                 break
             token = path[depth]
             node = node.children.get(token)
-            if node is None and not nodes[depth].keep[token]:
+            if node is None and nodes[depth].is_leaf(token):
                 reach = depth
             depth += 1
         if dead == len(depths):
             return 0.0
 
         changed = -1
+        dirty: dict[int, list[int] | None] = {}  # depth -> changed shares; None: all
         for depth in depths:
             if depth > reach:
                 break
@@ -200,15 +276,16 @@ class InvalidPrefixTrie:
                 if depth >= len(nodes) and not invalid:
                     continue
             if not nodes:
-                root.dist, root.keep = dists[0], np.ones(len(dists[0]))
+                root.dist = dists[0]
+                self._width = 1 << (len(dists[0]) - 1).bit_length()
                 nodes.append(root)
             while len(nodes) <= depth:
                 child = nodes[-1].children[path[len(nodes) - 1]] = TrieNode(dists[len(nodes)])
                 self.n_nodes += 1
                 nodes.append(child)
             node = nodes[depth]
-            node.swept |= sweep
-            keep, children = node.keep, node.children
+            children, leaves = node.children, node.invalid
+            plain = not children and not leaves
             if sweep:
                 pruned = [t for t in children if not group[t]]
             else:
@@ -216,23 +293,28 @@ class InvalidPrefixTrie:
             for token in pruned:
                 # a longer prefix was inserted earlier; this one dominates it
                 self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
-                keep[token] = 0.0
-            # untracked invalid tokens become new leaves; keep holds finite
-            # values >= 0, so x·1.0 is x and x·0.0 is +0.0
             if sweep:
-                fresh = int(np.count_nonzero(keep))
-                np.multiply(keep, group, out=keep)
-                fresh -= int(np.count_nonzero(keep))
-            else:  # a few tokens, ars's one: scalar tests beat fancy indexing
-                fresh = 0
-                for token in invalid:
-                    if keep[token]:
-                        keep[token] = 0.0
-                        fresh += 1
+                # the mask's False entries that were neither leaves nor
+                # children become leaves
+                fresh = len(group) - int(np.count_nonzero(group)) - len(pruned)
+                if leaves:
+                    fresh -= sum(1 for t in leaves if not group[t])
+                node.mask = group
+                if fresh or pruned:
+                    if plain:
+                        node.sums = self._base(node.dist, group)[:]
+                    else:
+                        dirty[depth] = None
+            else:  # a few tokens, ars's one: a path each
+                new = [t for t in invalid if t not in pruned and not node.is_leaf(t)]
+                if pruned or new:
+                    node.invalid = leaves.union(pruned, new)
+                    dirty[depth] = pruned + new
+                fresh = len(new)
             if fresh or pruned:
                 self.n_nodes += fresh
                 changed = depth
-            if depth < deepest and path[depth] not in children and not keep[path[depth]]:
+            if depth < deepest and path[depth] not in children and node.is_leaf(path[depth]):
                 reach = depth  # the group made the path a leaf
 
         if changed < 0:
@@ -240,11 +322,114 @@ class InvalidPrefixTrie:
         before = root.p
         for depth in range(changed, -1, -1):
             node = nodes[depth]
-            node.tables = None
-            node.p = node.kept_mass()
-            if depth:
-                nodes[depth - 1].keep[path[depth - 1]] = node.p
+            tokens = dirty.get(depth, ())
+            if tokens is None:
+                node.sums = _tree(node.dist.probs * node.shares())
+            else:
+                if node.sums is None:
+                    node.sums = self._base(node.dist, None)[:]
+                for token in tokens:
+                    self._repath(node, token)
+                if depth < changed:
+                    self._repath(node, path[depth])  # the child's p changed
+            node.p = _clamped(node.sums[1])
         return before - root.p
+
+    def _base(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> array:
+        """The tree of a node with conditional ``dist``, no children and no
+        leaves but ``mask``'s False entries; built once per pair."""
+        key = (id(dist), None if mask is None else id(mask))
+        hit = self._bases.get(key)
+        if hit is None:  # the entry holds both objects, so neither id is reused
+            terms = dist.probs if mask is None else dist.probs * mask
+            hit = self._bases[key] = (dist, mask, _tree(terms))
+        return hit[2]
+
+    def _sum(self, node: TrieNode, probs: list[float], j: int) -> float:
+        """Entry j of ``node``'s heap: a leaf's term at W or above, 0 past
+        V; a stored sum below V; else the sum of its two leaves."""
+        width = self._width
+        if j >= width:
+            return node.term(probs, j - width) if j - width < len(probs) else 0.0
+        if j < len(node.sums):
+            return node.sums[j]
+        return self._sum(node, probs, 2 * j) + self._sum(node, probs, 2 * j + 1)
+
+    def _repath(self, node: TrieNode, token: int) -> None:
+        """Recompute the sums on ``token``'s path, bottom-up."""
+        sums = node.sums
+        size = len(sums)
+        width = self._width
+        i = (width + token) >> 1  # the sum of token's leaf pair
+        if i < size:  # both leaves inside the vocabulary
+            probs = node.dist.draw_tables[0]
+            t = (i << 1) - width
+            sums[i] = node.term(probs, t) + node.term(probs, t + 1)
+        i >>= 1
+        while i:
+            a = i << 1
+            if a + 1 < size:
+                sums[i] = sums[a] + sums[a + 1]
+            else:  # a bottom sum at V or above
+                probs = node.dist.draw_tables[0]
+                sums[i] = self._sum(node, probs, a) + self._sum(node, probs, a + 1)
+            i >>= 1
+
+    def draw(
+        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...], u: float
+    ) -> int:
+        """Inverse-CDF draw from the reweighted conditional at the tracked
+        node of prefix ``ids``, by one descent of its sum tree: the first
+        positive-mass token whose running sum reaches u·p, the lower id on
+        a tie, the last positive-mass token on a floating shortfall.
+
+        ``dist`` must be the node's conditional; the tree's total must equal
+        the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
+        check fails.
+        """
+        if dist is not node.dist:
+            node.check(dist, ids)
+        p = node.p
+        if p <= 0.0:
+            raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
+        sums = node.sums
+        if abs(sums[1] - p) > _SUM_TOL * p:
+            raise TrieCorruptionError(
+                f"reweighted conditional after prefix {ids} sums to {sums[1] / p!r}; "
+                "bookkeeping corrupt"
+            )
+        size, width = len(sums), self._width
+        probs = node.dist.draw_tables[0]
+        # acc < target throughout, so a step left always enters positive mass
+        target = u * p or _TINY
+        acc = 0.0
+        k = 1
+        quarter = width >> 2
+        while k < quarter:  # the children are sums above the bottom, all stored
+            k <<= 1
+            s = acc + sums[k]
+            if s < target:
+                acc = s
+                k += 1
+        if k < width >> 1:  # the children are bottom sums, stored below V
+            k <<= 1
+            s = acc + (sums[k] if k < size else self._sum(node, probs, k))
+            if s < target:
+                acc = s
+                k += 1
+        token = (k << 1) - width
+        if token < size and acc + node.term(probs, token) >= target:
+            return token
+        # the pair reaches target where its left leaf alone did not: right > 0
+        if acc + (sums[k] if k < size else self._sum(node, probs, k)) >= target:
+            return token + 1
+        # floating shortfall: the last positive-mass token
+        k = 1
+        while k < width:
+            k <<= 1
+            if self._sum(node, probs, k + 1) > 0.0:
+                k += 1
+        return k - width
 
     def _find(self, ids: tuple[int, ...]) -> TrieNode | float:
         """The tracked node of ``ids``, else its p: 0 when a leaf covers
@@ -253,7 +438,7 @@ class InvalidPrefixTrie:
         for token in ids:
             child = node.children.get(token)
             if child is None:
-                return 1.0 if node.keep is None else float(node.keep[token])
+                return 0.0 if node.is_leaf(token) else 1.0
             node = child
         return node
 
@@ -266,49 +451,24 @@ class InvalidPrefixTrie:
         self, u: Sequence | Iterable[int], dist: NextTokenDistribution
     ) -> np.ndarray:
         """The conditional over next tokens renormalized to avoid the
-        invalid set: a -> P(ua|u) * p(ua) / p(u).
+        invalid set: a -> P(ua|u) * p(ua) / p(u), computed densely; the
+        referee view of what ``draw`` samples.
 
         The returned vector must sum to 1 within tolerance; that sum is the
         online consistency check of the bookkeeping.
         """
         ids = u.ids if isinstance(u, Sequence) else tuple(u)
         found = self._find(ids)
-        if isinstance(found, TrieNode):
-            return self._reweight_at(found, dist, ids)
-        if not found:
-            raise MassExhaustedError(f"prefix {ids} extends an invalid prefix")
-        return dist.probs  # untracked: reduces to the original conditional
-
-    def draw_tables(
-        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The reweighted conditional at the tracked node of prefix ``ids``
-        and its running sums, as read-only float64 arrays for an
-        inverse-CDF draw.
-
-        Built by the same operations as ``reweight_factors``, checks
-        included, and cached on the node until an update changes p at or
-        below it or ``dist`` is a different object.  ``ids`` only names the
-        prefix when a check fails.
-        """
-        cached = node.tables
-        if cached is not None and cached[0] is dist:
-            return cached[1], cached[2]
-        probs = self._reweight_at(node, dist, ids)
-        cum = np.cumsum(probs)
-        probs.flags.writeable = cum.flags.writeable = False
-        node.tables = (dist, probs, cum)
-        return probs, cum
-
-    def _reweight_at(
-        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...]
-    ) -> np.ndarray:
-        if node.p <= 0.0:
+        if not isinstance(found, TrieNode):
+            if not found:
+                raise MassExhaustedError(f"prefix {ids} extends an invalid prefix")
+            return dist.probs  # untracked: reduces to the original conditional
+        if found.p <= 0.0:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
-        if node.dist is None:
+        if found.dist is None:
             return dist.probs
-        node.check(dist, ids)
-        out = dist.probs * node.keep / node.p
+        found.check(dist, ids)
+        out = dist.probs * found.shares() / found.p
         total = float(out.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise TrieCorruptionError(
@@ -322,10 +482,11 @@ class InvalidPrefixTrie:
     def _walk(self, node: TrieNode, ids: tuple[int, ...] = ()) -> Iterator:
         """Depth-first (ids, node) pairs in token order; None: invalid prefix."""
         yield ids, node
-        if node.keep is None:
-            return
         children = node.children
-        for token in sorted({*children, *np.flatnonzero(node.keep == 0.0).tolist()}):
+        leaves = set(node.invalid)
+        if node.mask is not None:
+            leaves.update(np.flatnonzero(~node.mask).tolist())
+        for token in sorted(leaves.union(children)):
             child = children.get(token)
             if child is None:
                 yield ids + (token,), None
@@ -341,17 +502,24 @@ class InvalidPrefixTrie:
         return [ids for ids, node in self._walk(self.root) if node is None]
 
     def check_local_consistency(self, tol: float = 1e-9) -> None:
-        """Debug mode: recompute every p bottom-up from the children's
-        recomputed values, not from the stored shares, and compare against
-        the incrementally maintained values."""
+        """Debug mode: rebuild every node's sum tree from its shares, which
+        must give the stored sums bit for bit, and recompute every p
+        bottom-up from the children's recomputed values, not from the
+        stored shares, and compare against the incrementally maintained
+        values."""
 
         def recompute(ids: tuple[int, ...], node: TrieNode) -> float:
             fresh = 1.0
             if node.dist is not None:
-                keep = (node.keep != 0.0).astype(np.float64)  # untracked 1, leaf 0
+                shares = node.shares()
+                want = _tree(node.dist.probs * shares)
+                if node.sums is None or node.sums.tobytes() != want.tobytes():
+                    raise TrieCorruptionError(
+                        f"node {ids}: sum tree differs from the one its shares give"
+                    )
                 for token, child in node.children.items():
-                    keep[token] = recompute(ids + (token,), child)
-                fresh = float((node.dist.probs * keep).sum())
+                    shares[token] = recompute(ids + (token,), child)
+                fresh = float((node.dist.probs * shares).sum())
             if abs(fresh - node.p) > tol:
                 raise TrieCorruptionError(
                     f"node {ids}: stored p {node.p!r} vs recomputed {fresh!r}"

@@ -257,7 +257,7 @@ def test_criterion_4_monotone_acceptance(arith_lm, arith_checker):
     violations = []
     for name, traj in TRAJECTORIES:
         for a, b in zip(traj, traj[1:]):
-            if b > a + 1e-12:
+            if b > a:
                 violations.append(name)
                 break
     total = sum(len(t) for _, t in TRAJECTORIES)
@@ -271,7 +271,8 @@ def test_criterion_4_monotone_acceptance(arith_lm, arith_checker):
 
 def test_criterion_5_trie_oracle_torture():
     """After each of 500 randomized inserts, every tracked node's stored
-    mass matches the exhaustive referee to 1e-9."""
+    mass matches the exhaustive referee to 1e-9, and its sum tree is bit
+    for bit the one its shares give."""
     rng = np.random.default_rng(424242)
     lm = _random_table_lm(rng, size=4, horizon=6)
     table = enumerate_lm(lm)
@@ -287,6 +288,7 @@ def test_criterion_5_trie_oracle_torture():
         ids = tuple(ids)
         trie.insert_invalid(lm.vocab.seq(ids), step_dists(lm, ids))
         inserts += 1
+        trie.check_local_consistency()
         # one sweep computes the referee value for every tracked node
         leaves = set(trie.leaves())
         num: dict[tuple, float] = {}

@@ -22,7 +22,11 @@ TARGET = 20
 # counts for ars, rsft and cars, TARGET accepts each at seed 1: pins the
 # trie's V=1024 draw and update bits, which the golden digest (arith,
 # V=4) does not reach
-DFA_V1024_DIGEST = "77dac820ab0542f07f45b33399cef09bd3962135786f0cc0bdfae6652c0bdc3d"
+DFA_V1024_DIGEST = "92c58498ddc5b6e1fba4d14e01ee0f4ca380396588a55b5d4c5da0af9844762c"
+# the same episodes' sample ids and generation counts alone: what is
+# sampled, which a change to the order of the trie's sums must not move
+# where the p_eps bits may
+DFA_V1024_SAMPLES_DIGEST = "a2f595a090a18f0696c95a4a26ff8c6d797699a8e60466c4cb7c845d79265e39"
 
 
 def _episode(workload, method, tracer=None):
@@ -65,6 +69,7 @@ def test_traced_dfa_episode_counts_every_layer(method):
 def test_dfa_v1024_output_bits():
     workload = WORKLOADS["dfa-v1024"]()
     h = hashlib.sha256()
+    samples = hashlib.sha256()
     for method in ("ars", "rsft", "cars"):
         lm, checker = workload.build()
         cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * TARGET)
@@ -73,4 +78,6 @@ def test_dfa_v1024_output_bits():
         assert len(ids) == TARGET
         h.update(f"{method}\n{ids!r}\n{metrics.p_eps_trajectory!r}\n".encode())
         h.update(f"{metrics.generations}\n".encode())
+        samples.update(f"{method}\n{ids!r}\n{metrics.generations}\n".encode())
+    assert samples.hexdigest() == DFA_V1024_SAMPLES_DIGEST
     assert h.hexdigest() == DFA_V1024_DIGEST

@@ -1,8 +1,19 @@
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exsample import MassExhaustedError, Sequence, TrieCorruptionError, enumerate_lm
+from exsample import (
+    MassExhaustedError,
+    SamplerConfig,
+    Sequence,
+    TrieCorruptionError,
+    enumerate_lm,
+    run,
+)
 from exsample.lm import TableLM, sequence_probability
 from exsample.oracle import exact_p
 from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, _clamped
@@ -163,7 +174,7 @@ def test_reweight_checks_name_the_prefix(arith_lm):
     node = trie.root.children[0].children[2]
     node.p /= 2  # corrupt the bookkeeping
     with pytest.raises(TrieCorruptionError, match=r"after prefix \(0, 2\) sums to"):
-        trie.draw_tables(node, after_02, (0, 2))
+        trie.draw(node, after_02, (0, 2), 0.5)
 
 
 class _RefNode:
@@ -359,32 +370,178 @@ def test_swept_marks_tracked_prefixes_only(arith_lm):
     assert trie.update((), dists, {0: [3]}) > 0.0
 
 
-def test_draw_tables_match_reweight_factors(arith_lm):
+def _inverse_cdf(probs, cum, u):
+    """The referee draw: the first positive-mass index whose running sum
+    reaches u, else the last positive-mass index."""
+    positive = np.flatnonzero(probs > 0.0)
+    reached = positive[cum[positive] >= u]
+    return int(reached[0] if len(reached) else positive[-1])
+
+
+def _assert_draws_match(trie, node, dist, prefix, grid):
+    """``draw`` at ``node`` against an inverse CDF over ``reweight_factors``
+    at every u of ``grid`` more than 1e-12 from a boundary, and at the two
+    ends: u = 0 draws the first positive-mass token, u = 1 - 2**-53 the
+    last."""
+    probs = trie.reweight_factors(prefix, dist)
+    cum = np.cumsum(probs)
+    grid = np.asarray(grid)
+    clear = np.abs(grid[:, None] - cum[None, :]).min(axis=1) > 1e-12
+    assert clear.any()
+    for u in grid[clear].tolist():
+        assert trie.draw(node, dist, prefix, u) == _inverse_cdf(probs, cum, u), (prefix, u)
+    positive = np.flatnonzero(probs > 0.0)
+    assert trie.draw(node, dist, prefix, 0.0) == positive[0]
+    assert trie.draw(node, dist, prefix, 1.0 - 2.0**-53) == positive[-1]
+
+
+def _token_grid(probs):
+    """Three u values inside each positive-mass token's step of the CDF,
+    the two near its edges 1e-9 in from them."""
+    cum = np.cumsum(probs)
+    lo = cum - probs
+    inside = probs > 3e-9
+    return np.concatenate(
+        [lo[inside] + 1e-9, (lo[inside] + cum[inside]) / 2, cum[inside] - 1e-9]
+    )
+
+
+def test_draw_matches_reweight_factors(arith_lm):
     trie = InvalidPrefixTrie()
     for ids in CARS_INSERTS:
         trie.insert_invalid(arith_lm.vocab.seq(ids), step_dists(arith_lm, ids))
         for prefix, node in trie.nodes():
             dist = arith_lm.next_distribution(Sequence(prefix, False))
-            want = trie.reweight_factors(prefix, dist)
-            probs, cum = trie.draw_tables(node, dist, prefix)
-            assert probs.dtype == cum.dtype == np.float64
-            assert probs.tobytes() == want.tobytes()
-            assert cum.tobytes() == np.cumsum(want).tobytes()
-            # served from the cache: the same objects
-            again = trie.draw_tables(node, dist, prefix)
-            assert again[0] is probs and again[1] is cum
+            grid = _token_grid(trie.reweight_factors(prefix, dist))
+            _assert_draws_match(trie, node, dist, prefix, np.append(grid, np.linspace(0, 1, 201)))
+            # a draw never lands on a leaf or a zero-mass token
+            for u in np.linspace(0, 1, 101).tolist():
+                token = trie.draw(node, dist, prefix, u)
+                assert trie.p_value(prefix + (token,)) > 0.0 and dist[token] > 0.0
 
 
-def test_cached_draw_tables_are_read_only(arith_lm):
+def test_draw_is_read_only(arith_lm):
     trie, _ = build(arith_lm, CARS_INSERTS)
+    before = trie.dump()
+    trees = {prefix: (node.sums.tobytes(), node.p) for prefix, node in trie.nodes()}
     for prefix, node in trie.nodes():
         dist = arith_lm.next_distribution(Sequence(prefix, False))
-        for table in trie.draw_tables(node, dist, prefix):
-            with pytest.raises(ValueError):
-                table[0] = 0.5
-        probs, cum = trie.draw_tables(node, dist, prefix)
-        assert probs.tobytes() == trie.reweight_factors(prefix, dist).tobytes()
-        assert cum.tobytes() == np.cumsum(probs).tobytes()
+        for u in np.linspace(0, 1, 101).tolist():
+            trie.draw(node, dist, prefix, u)
+    assert trie.dump() == before
+    assert {prefix: (node.sums.tobytes(), node.p) for prefix, node in trie.nodes()} == trees
+    trie.check_local_consistency()
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 6, 7, 8, 9, 40])
+def test_draw_at_any_vocabulary_size(size):
+    """Sum trees over V tokens padded to a power of two, some sums at V or
+    above unstored: after random token groups and sweeps, every tracked
+    node's tree is the one its shares give and ``draw`` matches the
+    inverse CDF; with the stored p a little above the tree's total, the
+    largest u falls short and draws the last positive-mass token."""
+    rng = np.random.default_rng(size)
+    probs = rng.dirichlet(np.ones(size))
+    probs[rng.random(size) < 0.2] = 0.0
+    probs[0] = max(probs[0], 0.1)
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
+    lm = TableLM(vocab, {}, probs, 4)
+    trie = InvalidPrefixTrie()
+    for _ in range(12):
+        path = (0,) * int(rng.integers(0, 3))
+        if rng.random() < 0.5:
+            group = rng.random(size) < 0.8
+            group[0] = True
+        else:
+            group = [int(t) for t in rng.integers(1, size, size=2)]
+        trie.update(path, step_dists(lm, path + (0,)), {int(rng.integers(0, len(path) + 1)): group})
+        trie.check_local_consistency()
+        for prefix, node in trie.nodes():
+            if node.dist is None:  # nothing recorded yet
+                continue
+            weights = trie.reweight_factors(prefix, node.dist)
+            grid = np.append(_token_grid(weights), np.linspace(0, 1, 51))
+            _assert_draws_match(trie, node, node.dist, prefix, grid)
+            p = node.p
+            node.p = p * (1 + 1e-9)
+            last = np.flatnonzero(weights)[-1]
+            assert trie.draw(node, node.dist, prefix, 1.0 - 2.0**-53) == last
+            node.p = p
+
+
+def _bench_workload(name):
+    """A benchmark workload, read from ``bench/workloads.py``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return WORKLOADS[name]()
+
+
+@pytest.mark.parametrize("method", ["ars", "rsft", "cars"])
+def test_v1024_draws_match_the_dense_referee(method):
+    """On the dfa-v1024 instance (V = 1024), every 10th generation of a
+    seed-1 episode: every node's sum tree is bit for bit the one its shares
+    give, and at every tracked node ``draw`` matches an inverse CDF over
+    ``reweight_factors``."""
+    lm, checker = _bench_workload("dfa-v1024").build()
+    grid = np.concatenate([np.linspace(0, 1, 41)[1:-1], np.random.default_rng(7).random(24)])
+    checked = []
+
+    def hook(generation, trie):
+        if generation % 10:
+            return
+        trie.check_local_consistency()
+        for prefix, node in trie.nodes():
+            _assert_draws_match(trie, node, node.dist, prefix, grid)
+        checked.append(trie.n_nodes)
+
+    cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=2000)
+    stream, _ = run(lm, checker, cfg, 20, trie_hook=hook)
+    assert len(list(stream)) == 20
+    assert checked and checked[-1] > 1
+
+
+def test_v1024_tiny_mass_stays_exact():
+    """A V = 1024 node whose leaves leave about 1e-12 of its conditional's
+    mass: p is the exact sum of the remaining terms to 1e-14, relative, and
+    no draw lands on a leaf or a zero-mass token.  A p kept as the whole
+    mass minus the leaves' would lose this to cancellation."""
+    size = 1024
+    rng = np.random.default_rng(12)
+    probs = rng.dirichlet(np.full(size, 0.5))
+    probs[[5, 700, 1023]] = [3e-13, 4e-13, 2e-13]
+    probs[[17, 18]] = 0.0  # zero-probability tokens: 17 valid, 18 a leaf
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
+    lm = TableLM(vocab, {}, probs, 3)
+    dist = lm.next_distribution(vocab.empty())
+    alive = [5, 17, 700, 1023]
+    mask = np.zeros(size, dtype=bool)
+    mask[alive] = True
+    trie = InvalidPrefixTrie()
+    trie.update((), [dist], {0: [int(t) for t in rng.permutation(np.flatnonzero(~mask))[:600]]})
+    trie.update((), [dist], {0: mask})  # the rest, as a sweep
+    want = math.fsum(float(dist.probs[t]) for t in alive)
+    assert 5e-13 < want < 2e-12
+    assert abs(trie.p_eps - want) <= 1e-14 * want
+    assert trie.n_nodes == 1 + size - len(alive)
+    assert (18,) in trie.leaves() and (17,) not in trie.leaves()
+    trie.check_local_consistency()
+    node = trie.root
+    for u in np.append(np.linspace(0, 1, 2001), 1 - 2.0**-53).tolist():
+        token = trie.draw(node, dist, (), u)
+        assert token in (5, 700, 1023), u
+    _assert_draws_match(trie, node, dist, (), np.linspace(0, 1, 2001))
+
+
+def test_consistency_check_compares_sum_trees_bit_for_bit(arith_lm):
+    trie, _ = build(arith_lm, CARS_INSERTS)
+    trie.check_local_consistency()
+    node = trie.root.children[0]
+    node.sums[1] = math.nextafter(node.sums[1], 1.0)  # one ulp; p untouched
+    with pytest.raises(TrieCorruptionError, match=r"node \(0,\): sum tree differs"):
+        trie.check_local_consistency()
 
 
 def test_reweight_untracked_is_identity(arith_lm):
@@ -484,7 +641,7 @@ def test_interleaved_inserts_stay_consistent(lm_seed, n_inserts, pyrng):
         assert removed >= 0.0
         if covered:
             assert removed == 0.0
-        assert trie.p_eps <= last_root + 1e-12
+        assert trie.p_eps <= last_root
         last_root = trie.p_eps
         trie.check_local_consistency(tol=1e-9)
         want = exact_p((), trie.leaves(), table)
