@@ -149,10 +149,28 @@ class TableLM(LanguageModel):
         return self._table.get(ids, self._default)
 
 
+def _first_non_number(values: list) -> int | None:
+    """The index of the first entry that is no JSON number, else None."""
+    numbers = {int, float}  # what a JSON number parses to; a bool is neither
+    if set(map(type, values)) <= numbers:
+        return None
+    return next(i for i, x in enumerate(values) if type(x) not in numbers)
+
+
+def _int_field(doc: Mapping, field: str, kind: str) -> int:
+    value = doc[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{kind} document field {field!r} must be an integer, not {value!r}")
+    return value
+
+
 def _checked_vector(raw, size: int, where: str) -> list[float]:
     if not isinstance(raw, list) or len(raw) != size:
         raise ValueError(f"{where}: expected a probability array of length {size}")
-    vec = [float(x) for x in raw]
+    bad = _first_non_number(raw)
+    if bad is not None:
+        raise ValueError(f"{where}: entry {bad} is {raw[bad]!r}, not a number")
+    vec = list(map(float, raw))
     if any(x < 0 for x in vec):
         raise ValueError(f"{where}: negative probability")
     drift = abs(sum(vec) - 1.0)
@@ -196,8 +214,8 @@ def table_lm_from_doc(doc: Mapping) -> TableLM:
     for field in ("tokens", "eos", "horizon", "default"):
         if field not in doc:
             raise ValueError(f"table LM document is missing {field!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
-    horizon = int(doc["horizon"])
+    vocab = Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", "table LM"))
+    horizon = _int_field(doc, "horizon", "table LM")
     default = _checked_vector(doc["default"], vocab.size, "default vector")
     contexts = {}
     for key, raw in doc.get("contexts", {}).items():
@@ -211,9 +229,10 @@ def ngram_lm_from_doc(doc: Mapping) -> NGramLM:
     for field in ("tokens", "eos", "order", "horizon", "corpus"):
         if field not in doc:
             raise ValueError(f"n-gram LM document is missing {field!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
+    vocab = Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", "n-gram LM"))
+    order, horizon = (_int_field(doc, f, "n-gram LM") for f in ("order", "horizon"))
     corpus = [vocab.encode(line) for line in doc["corpus"]]
-    return NGramLM(vocab, int(doc["order"]), corpus, int(doc["horizon"]))
+    return NGramLM(vocab, order, corpus, horizon)
 
 
 def load_table_lm(source: str | Path | IO[str]) -> TableLM:
@@ -320,6 +339,9 @@ class RemoteLM(LanguageModel):
             raise ValueError(
                 f"logprobs of length {got} do not match vocabulary size {self.vocab.size}"
             )
+        bad = _first_non_number(logprobs)
+        if bad is not None:
+            raise ValueError(f"logprobs entry {bad} is {logprobs[bad]!r}, not a number")
         arr = np.asarray(logprobs, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("logit endpoint returned non-finite log-probabilities")

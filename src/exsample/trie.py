@@ -17,15 +17,16 @@ of a binary sum tree over its V terms P(a|u)·share(a) (Wong & Easton,
 "An efficient method for weighted sampling without replacement", SIAM J.
 Comput. 1980).  The tree is a heap over W leaves, W being V rounded up to
 a power of two: leaf W + t is token t's term (zero past V) and sum i is
-sum 2i plus sum 2i + 1, so sum 1 is p(u).  Only the sums below V are
-stored, at their index in a float64 array of length V, so a node holds V
-floats; a sum at V or above spans two leaves and is added up when read.
-Leaf terms are not stored either: they are computed when read, from
-``dist`` and the shares.
+sum 2i plus sum 2i + 1, so sum 1 is p(u).  Every sum is stored, at its
+index in a float64 array of length W (index 0 unused), so a node holds W
+floats: V when V is a power of two, up to 2V just above one (V = 50257
+pads to 65536, 30% more).  Leaf terms are not stored: they are computed
+when read, from ``dist`` and the shares.
 
-A changed share recomputes the sums on its token's path, at most
-ceil(log2 V) of them, each as left + right from its two children; a draw
-descends the same path: O(log V) either way, where a dense share vector
+A changed share recomputes the sums on its token's path, log2 W of them,
+each as left + right from its two children; a draw descends one path,
+stepping right only into positive mass, so it always ends on a
+positive-mass token: O(log V) either way, where a dense share vector
 costs a V-length sum per change and a V-length table per draw.  No sum
 is ever adjusted by adding or subtracting a delta.  Each is recomputed
 from its children, so it is always a fixed-order sum of the node's
@@ -40,8 +41,8 @@ leaves, and every node from the deepest one changed up to the root then
 recomputes the changed paths of its tree and sets p from its root sum
 (a node no update has changed yet keeps p = 1).  A group given as a
 viability mask sweeps its node: every invalid one-token continuation is
-then a leaf, so later masks at that node are skipped, and an update whose
-every group is such a mask returns after its walk.  A new node copies a
+then a leaf, so later masks at that node are skipped, and an update that
+changes nothing returns after its walk.  A new node copies a
 base tree, which the trie builds once per conditional for an unswept
 node and once per (conditional, mask) pair for a swept one, and drops
 with itself.  A sweep of a node that already has children or leaves
@@ -101,18 +102,18 @@ def _clamped(p: float) -> float:
 
 
 def _tree(terms: np.ndarray) -> array:
-    """The internal sums of the sum tree over ``terms``, built bottom-up
-    one height at a time by the same additions as ``_repath``."""
-    size = len(terms)
-    width = 1 << (size - 1).bit_length()
+    """The internal sums of the sum tree over ``terms``, padded with zero
+    terms to a power of two, built bottom-up one height at a time by the
+    same additions as ``_repath``."""
+    width = 1 << (len(terms) - 1).bit_length()
     heap = np.zeros(width)
     level = np.zeros(width)
-    level[:size] = terms
+    level[: len(terms)] = terms
     while width > 1:
         level = level[0::2] + level[1::2]
         width >>= 1
         heap[width : 2 * width] = level
-    return array("d", heap[:size].tobytes())
+    return array("d", heap.tobytes())
 
 
 _NO_LEAVES: frozenset[int] = frozenset()
@@ -184,7 +185,6 @@ class InvalidPrefixTrie:
     def __init__(self) -> None:
         self.root = TrieNode(None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
-        self._width = 0  # the trees' leaf count, V padded to a power of two
         self._bases: dict = {}  # (id(dist), id(mask) or None) -> (dist, mask, tree)
 
     @property
@@ -242,14 +242,11 @@ class InvalidPrefixTrie:
         nodes = []  # the tracked nodes of path[:0], path[:1], ...
         node = root if root.dist is not None else None
         reach = deepest  # groups below a leaf on the path change nothing
-        dead = 0  # groups that are masks at swept nodes change nothing
         depth = 0
         while node is not None:
             if dists[depth] is not node.dist:  # spare the call and the slice
                 node.check(dists[depth], path[:depth])
             nodes.append(node)
-            if node.swept and isinstance(groups.get(depth), np.ndarray):
-                dead += 1
             if depth == deepest:
                 break
             token = path[depth]
@@ -257,8 +254,6 @@ class InvalidPrefixTrie:
             if node is None and nodes[depth].is_leaf(token):
                 reach = depth
             depth += 1
-        if dead == len(depths):
-            return 0.0
 
         changed = -1
         dirty: dict[int, list[int] | None] = {}  # depth -> changed shares; None: all
@@ -277,7 +272,6 @@ class InvalidPrefixTrie:
                     continue
             if not nodes:
                 root.dist = dists[0]
-                self._width = 1 << (len(dists[0]) - 1).bit_length()
                 nodes.append(root)
             while len(nodes) <= depth:
                 child = nodes[-1].children[path[len(nodes) - 1]] = TrieNode(dists[len(nodes)])
@@ -345,34 +339,17 @@ class InvalidPrefixTrie:
             hit = self._bases[key] = (dist, mask, _tree(terms))
         return hit[2]
 
-    def _sum(self, node: TrieNode, probs: list[float], j: int) -> float:
-        """Entry j of ``node``'s heap: a leaf's term at W or above, 0 past
-        V; a stored sum below V; else the sum of its two leaves."""
-        width = self._width
-        if j >= width:
-            return node.term(probs, j - width) if j - width < len(probs) else 0.0
-        if j < len(node.sums):
-            return node.sums[j]
-        return self._sum(node, probs, 2 * j) + self._sum(node, probs, 2 * j + 1)
-
     def _repath(self, node: TrieNode, token: int) -> None:
         """Recompute the sums on ``token``'s path, bottom-up."""
         sums = node.sums
-        size = len(sums)
-        width = self._width
-        i = (width + token) >> 1  # the sum of token's leaf pair
-        if i < size:  # both leaves inside the vocabulary
-            probs = node.dist.draw_tables[0]
-            t = (i << 1) - width
-            sums[i] = node.term(probs, t) + node.term(probs, t + 1)
+        probs = node.dist.draw_tables[0]
+        t = token & ~1  # the left leaf of token's pair
+        right = node.term(probs, t + 1) if t + 1 < len(probs) else 0.0
+        i = (len(sums) + t) >> 1
+        sums[i] = node.term(probs, t) + right
         i >>= 1
         while i:
-            a = i << 1
-            if a + 1 < size:
-                sums[i] = sums[a] + sums[a + 1]
-            else:  # a bottom sum at V or above
-                probs = node.dist.draw_tables[0]
-                sums[i] = self._sum(node, probs, a) + self._sum(node, probs, a + 1)
+            sums[i] = sums[2 * i] + sums[2 * i + 1]
             i >>= 1
 
     def draw(
@@ -381,7 +358,9 @@ class InvalidPrefixTrie:
         """Inverse-CDF draw from the reweighted conditional at the tracked
         node of prefix ``ids``, by one descent of its sum tree: the first
         positive-mass token whose running sum reaches u·p, the lower id on
-        a tie, the last positive-mass token on a floating shortfall.
+        a tie.  The descent steps right only into positive mass, so on a
+        floating shortfall it ends on the last positive-mass token of the
+        subtree it fell short in.
 
         ``dist`` must be the node's conditional; the tree's total must equal
         the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
@@ -398,38 +377,27 @@ class InvalidPrefixTrie:
                 f"reweighted conditional after prefix {ids} sums to {sums[1] / p!r}; "
                 "bookkeeping corrupt"
             )
-        size, width = len(sums), self._width
-        probs = node.dist.draw_tables[0]
-        # acc < target throughout, so a step left always enters positive mass
+        width = len(sums)
+        half = width >> 1
+        # acc < target throughout, so every subtree entered holds mass: a
+        # left one reaches target or has a massless sibling, a right one is
+        # tested
         target = u * p or _TINY
         acc = 0.0
         k = 1
-        quarter = width >> 2
-        while k < quarter:  # the children are sums above the bottom, all stored
+        while k < half:
             k <<= 1
             s = acc + sums[k]
-            if s < target:
+            if s < target and sums[k + 1] > 0.0:
                 acc = s
                 k += 1
-        if k < width >> 1:  # the children are bottom sums, stored below V
-            k <<= 1
-            s = acc + (sums[k] if k < size else self._sum(node, probs, k))
-            if s < target:
-                acc = s
-                k += 1
+        probs = node.dist.draw_tables[0]
         token = (k << 1) - width
-        if token < size and acc + node.term(probs, token) >= target:
+        if acc + node.term(probs, token) >= target:
             return token
-        # the pair reaches target where its left leaf alone did not: right > 0
-        if acc + (sums[k] if k < size else self._sum(node, probs, k)) >= target:
+        if token + 1 < len(probs) and node.term(probs, token + 1) > 0.0:
             return token + 1
-        # floating shortfall: the last positive-mass token
-        k = 1
-        while k < width:
-            k <<= 1
-            if self._sum(node, probs, k + 1) > 0.0:
-                k += 1
-        return k - width
+        return token
 
     def _find(self, ids: tuple[int, ...]) -> TrieNode | float:
         """The tracked node of ``ids``, else its p: 0 when a leaf covers

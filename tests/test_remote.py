@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import socket
 import subprocess
 import sys
@@ -94,6 +95,18 @@ def test_non_finite_rejected(server):
     server.respond = lambda prefix: (200, {"logprobs": [0.0, 0.0, 0.0, float("inf")]})
     lm = _client(server)
     with pytest.raises(ValueError, match="non-finite"):
+        lm.next_distribution(lm.vocab.empty())
+
+
+@pytest.mark.parametrize("index, bad", [(0, "0.0"), (2, False), (3, None)])
+def test_logprobs_must_be_json_numbers(server, index, bad):
+    """A log-probability that only coerces to a float is refused, by index."""
+    logprobs = [0.0, -1.0, -2.0, -3.0]
+    logprobs[index] = bad
+    server.respond = lambda prefix: (200, {"logprobs": logprobs})
+    lm = _client(server)
+    want = f"logprobs entry {index} is {bad!r}, not a number"
+    with pytest.raises(ValueError, match=re.escape(want)):
         lm.next_distribution(lm.vocab.empty())
 
 

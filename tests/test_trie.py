@@ -435,8 +435,8 @@ def test_draw_is_read_only(arith_lm):
 
 @pytest.mark.parametrize("size", [2, 3, 5, 6, 7, 8, 9, 40])
 def test_draw_at_any_vocabulary_size(size):
-    """Sum trees over V tokens padded to a power of two, some sums at V or
-    above unstored: after random token groups and sweeps, every tracked
+    """Sum trees over V tokens padded with zero terms to a power of two,
+    every sum stored: after random token groups and sweeps, every tracked
     node's tree is the one its shares give and ``draw`` matches the
     inverse CDF; with the stored p a little above the tree's total, the
     largest u falls short and draws the last positive-mass token."""
@@ -467,6 +467,35 @@ def test_draw_at_any_vocabulary_size(size):
             last = np.flatnonzero(weights)[-1]
             assert trie.draw(node, node.dist, prefix, 1.0 - 2.0**-53) == last
             node.p = p
+
+
+def test_draw_short_inside_a_subtree_stays_on_positive_mass():
+    """Tokens 1..3 are leaves, so the root's left subtree (tokens 0..3)
+    holds token 0's term alone.  With that subtree's sum raised by an ulp,
+    a target just above the term enters the subtree and falls short in
+    it; the descent must not step right into the massless leaf pair or
+    onto leaf 1, so every u draws a positive-mass, non-leaf token."""
+    # light leaves keep p near 1, so u and u·p share a binade and the u
+    # next to edge reach every target float near the subtree's sum
+    probs = [1.0, 0.01, 0.01, 0.01, 2.0, 2.0, 2.0, 2.0]
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(7)] + ["$"], eos=7)
+    lm = TableLM(vocab, {}, probs, 3)
+    dist = lm.next_distribution(vocab.empty())
+    trie = InvalidPrefixTrie()
+    trie.update((), [dist], {0: [1, 2, 3]})
+    node = trie.root
+    left = node.sums[2]
+    assert left == dist[0] and node.sums[5] == 0.0
+    node.sums[2] = math.nextafter(left, 1.0)
+    edge = left / node.p  # the u whose target is the term
+    near = [edge]
+    for _ in range(4):
+        near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 1.0)]
+    grid = np.linspace(0, 1, 1001).tolist() + near
+    assert any(left < u * node.p <= node.sums[2] for u in grid)  # some u falls short
+    for u in grid:
+        token = trie.draw(node, dist, (), u)
+        assert trie.p_value((token,)) > 0.0 and dist[token] > 0.0, (u, token)
 
 
 def _bench_workload(name):

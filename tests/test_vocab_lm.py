@@ -245,6 +245,43 @@ def test_load_table_lm_errors():
         load_table_lm(io.StringIO("{not json"))
 
 
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [("default", 1, "0.25"), ("default", 3, False), ("contexts", 0, True), ("contexts", 2, None)],
+)
+def test_table_lm_probabilities_must_be_json_numbers(field, index, bad):
+    """An entry that only coerces to a float is refused, by field and index."""
+    doc = _doc()
+    vec = doc["default"] if field == "default" else doc["contexts"]["0,2"]
+    vec[index] = bad
+    where = "default vector" if field == "default" else "context '0,2'"
+    want = f"{where}: entry {index} is {bad!r}, not a number"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        table_lm_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("eos", 2.9), ("eos", 3.0), ("eos", True), ("horizon", "3"), ("horizon", None)]
+)
+def test_table_lm_eos_and_horizon_must_be_json_integers(field, bad):
+    doc = _doc()
+    doc[field] = bad
+    want = f"table LM document field {field!r} must be an integer, not {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        table_lm_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("eos", "3"), ("eos", False), ("order", 2.0), ("order", "2"), ("horizon", 6.5)]
+)
+def test_ngram_lm_integer_fields_must_be_json_integers(field, bad):
+    doc = _corpus_doc()
+    doc[field] = bad
+    want = f"n-gram LM document field {field!r} must be an integer, not {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        ngram_lm_from_doc(doc)
+
+
 def test_load_table_lm_warns_on_small_drift():
     doc = _doc()
     doc["default"] = [0.25, 0.25, 0.25, 0.25002]
