@@ -12,7 +12,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .constraints import load_constraint
-from .lm import LanguageModel, RemoteLM, ngram_lm_from_doc, read_doc, table_lm_from_doc
+from .lm import (
+    LanguageModel,
+    RemoteLM,
+    ngram_lm_from_doc,
+    read_doc,
+    table_lm_from_doc,
+    vocab_from_doc,
+)
 from .metrics import (
     RunMetrics,
     bootstrap_ci,
@@ -88,7 +95,7 @@ def _load_vocab_doc(path: str) -> Vocabulary:
     doc = read_doc(path, "vocabulary")
     if "tokens" not in doc or "eos" not in doc:
         raise ValueError(f"vocabulary document {path} needs 'tokens' and 'eos'")
-    return Vocabulary.from_tokens(doc["tokens"], int(doc["eos"]))
+    return vocab_from_doc(doc, "vocabulary")
 
 
 def load_lm(cfg: ExperimentConfig) -> LanguageModel:

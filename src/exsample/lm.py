@@ -149,12 +149,22 @@ class TableLM(LanguageModel):
         return self._table.get(ids, self._default)
 
 
-def _first_non_number(values: list) -> int | None:
-    """The index of the first entry that is no JSON number, else None."""
+def _floats(values: list, label: str) -> list[float]:
+    """``values``, JSON numbers, as floats; a ValueError names ``label`` and
+    the first entry that is no number or lies beyond the float range."""
     numbers = {int, float}  # what a JSON number parses to; a bool is neither
-    if set(map(type, values)) <= numbers:
-        return None
-    return next(i for i, x in enumerate(values) if type(x) not in numbers)
+    if not set(map(type, values)) <= numbers:
+        bad = next(i for i, x in enumerate(values) if type(x) not in numbers)
+        raise ValueError(f"{label} entry {bad} is {values[bad]!r}, not a number")
+    try:
+        return list(map(float, values))
+    except OverflowError:  # a JSON integer beyond the float range
+        for i, x in enumerate(values):
+            try:
+                float(x)
+            except OverflowError:
+                raise ValueError(f"{label} entry {i} is too large for a float") from None
+        raise
 
 
 def _int_field(doc: Mapping, field: str, kind: str) -> int:
@@ -164,13 +174,16 @@ def _int_field(doc: Mapping, field: str, kind: str) -> int:
     return value
 
 
+def vocab_from_doc(doc: Mapping, kind: str) -> Vocabulary:
+    """The vocabulary of a parsed ``kind`` document: its ``tokens`` and
+    its ``eos``, which must be a JSON integer."""
+    return Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", kind))
+
+
 def _checked_vector(raw, size: int, where: str) -> list[float]:
     if not isinstance(raw, list) or len(raw) != size:
         raise ValueError(f"{where}: expected a probability array of length {size}")
-    bad = _first_non_number(raw)
-    if bad is not None:
-        raise ValueError(f"{where}: entry {bad} is {raw[bad]!r}, not a number")
-    vec = list(map(float, raw))
+    vec = _floats(raw, f"{where}:")
     if any(x < 0 for x in vec):
         raise ValueError(f"{where}: negative probability")
     drift = abs(sum(vec) - 1.0)
@@ -214,7 +227,7 @@ def table_lm_from_doc(doc: Mapping) -> TableLM:
     for field in ("tokens", "eos", "horizon", "default"):
         if field not in doc:
             raise ValueError(f"table LM document is missing {field!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", "table LM"))
+    vocab = vocab_from_doc(doc, "table LM")
     horizon = _int_field(doc, "horizon", "table LM")
     default = _checked_vector(doc["default"], vocab.size, "default vector")
     contexts = {}
@@ -229,7 +242,7 @@ def ngram_lm_from_doc(doc: Mapping) -> NGramLM:
     for field in ("tokens", "eos", "order", "horizon", "corpus"):
         if field not in doc:
             raise ValueError(f"n-gram LM document is missing {field!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", "n-gram LM"))
+    vocab = vocab_from_doc(doc, "n-gram LM")
     order, horizon = (_int_field(doc, f, "n-gram LM") for f in ("order", "horizon"))
     corpus = [vocab.encode(line) for line in doc["corpus"]]
     return NGramLM(vocab, order, corpus, horizon)
@@ -339,10 +352,7 @@ class RemoteLM(LanguageModel):
             raise ValueError(
                 f"logprobs of length {got} do not match vocabulary size {self.vocab.size}"
             )
-        bad = _first_non_number(logprobs)
-        if bad is not None:
-            raise ValueError(f"logprobs entry {bad} is {logprobs[bad]!r}, not a number")
-        arr = np.asarray(logprobs, dtype=np.float64)
+        arr = np.asarray(_floats(logprobs, "logprobs"))
         if not np.all(np.isfinite(arr)):
             raise ValueError("logit endpoint returned non-finite log-probabilities")
         dist = NextTokenDistribution(np.exp(arr - arr.max()))

@@ -12,16 +12,25 @@ below a leaf).
 
 A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
 its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
-entries of the viability ``mask`` that swept it), and the internal sums
-of a binary sum tree over its V terms P(a|u)·share(a) (Wong & Easton,
-"An efficient method for weighted sampling without replacement", SIAM J.
-Comput. 1980).  The tree is a heap over W leaves, W being V rounded up to
-a power of two: leaf W + t is token t's term (zero past V) and sum i is
-sum 2i plus sum 2i + 1, so sum 1 is p(u).  Every sum is stored, at its
-index in a float64 array of length W (index 0 unused), so a node holds W
-floats: V when V is a power of two, up to 2V just above one (V = 50257
-pads to 65536, 30% more).  Leaf terms are not stored: they are computed
-when read, from ``dist`` and the shares.
+entries of the viability ``mask`` that swept it), and a binary sum tree
+over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method for
+weighted sampling without replacement", SIAM J. Comput. 1980).  The tree
+is a heap over W leaves, W being V rounded up to a power of two: leaf
+W + t is token t's term (zero past V) and sum i is sum 2i plus sum 2i + 1,
+so sum 1 is p(u).  Leaf terms are not stored: they are computed when read,
+from ``dist`` and the shares.
+
+A node does not own a heap.  Its ``base`` is a whole one, W floats in an
+array (index 0 unused), that it shares: the trie builds one per
+conditional for unswept nodes and one per (conditional, mask) pair for
+nodes a mask swept, and keeps them while it lives.  Its ``overlay`` maps a
+heap index to a sum recomputed since that base, and sum i is
+``overlay[i]`` when present, else ``base[i]``.  A recomputed sum's parent
+is recomputed too, so the overlay's keys are closed upward, and below a
+sum it lacks every sum is the base's.  A node thus stores at most log2 W
+sums per share changed since its base, not W (path copying, as in
+Driscoll, Sarnak, Sleator & Tarjan, "Making Data Structures Persistent",
+1989).
 
 A changed share recomputes the sums on its token's path, log2 W of them,
 each as left + right from its two children; a draw descends one path,
@@ -32,7 +41,9 @@ is ever adjusted by adding or subtracting a delta.  Each is recomputed
 from its children, so it is always a fixed-order sum of the node's
 current terms, its bits a function of those terms alone; float addition
 is monotone, so a share that falls can never raise a sum, and no
-cancellation can eat a tiny remaining mass.
+cancellation can eat a tiny remaining mass.  A sum the overlay lacks
+covers only terms unchanged since the base, so it has the bits the base
+stored, and the bits are those of a whole heap per node.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
@@ -42,12 +53,10 @@ recomputes the changed paths of its tree and sets p from its root sum
 (a node no update has changed yet keeps p = 1).  A group given as a
 viability mask sweeps its node: every invalid one-token continuation is
 then a leaf, so later masks at that node are skipped, and an update that
-changes nothing returns after its walk.  A new node copies a
-base tree, which the trie builds once per conditional for an unswept
-node and once per (conditional, mask) pair for a swept one, and drops
-with itself.  A sweep of a node that already has children or leaves
-rebuilds its tree once, in O(V), with the same sums in the same order,
-so the bits are those of the incremental path.
+changes nothing returns after its walk.  A sweep of a node that already
+has children or leaves rebuilds its tree once, in O(V), with the same
+sums in the same order, so the bits are those of the incremental path;
+that tree becomes the node's own base, under an empty overlay.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -121,9 +130,10 @@ _NO_LEAVES: frozenset[int] = frozenset()
 
 class TrieNode:
     """A tracked viable prefix u: ``children`` maps a token t to the node
-    of u·t, and ``sums`` holds the sum tree of P(a|u)·p(u·a)."""
+    of u·t, and ``base`` and ``overlay`` hold the sum tree of
+    P(a|u)·p(u·a): sum i is ``overlay[i]`` if present, else ``base[i]``."""
 
-    __slots__ = ("children", "dist", "invalid", "mask", "p", "sums")
+    __slots__ = ("base", "children", "dist", "invalid", "mask", "overlay", "p")
 
     def __init__(self, dist: NextTokenDistribution | None) -> None:
         self.children: dict[int, TrieNode] = {}
@@ -131,7 +141,8 @@ class TrieNode:
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
         self.mask = None  # the viability mask that swept the node
         self.p = 1.0
-        self.sums = None  # the tree's internal sums, set by the first update
+        self.base = None  # a heap of sums, often shared; set by the first update
+        self.overlay: dict[int, float] = {}  # heap index -> sum recomputed since base
 
     @property
     def swept(self) -> bool:
@@ -296,7 +307,7 @@ class InvalidPrefixTrie:
                 node.mask = group
                 if fresh or pruned:
                     if plain:
-                        node.sums = self._base(node.dist, group)[:]
+                        node.base = self._base(node.dist, group)
                     else:
                         dirty[depth] = None
             else:  # a few tokens, ars's one: a path each
@@ -318,20 +329,22 @@ class InvalidPrefixTrie:
             node = nodes[depth]
             tokens = dirty.get(depth, ())
             if tokens is None:
-                node.sums = _tree(node.dist.probs * node.shares())
+                node.base = _tree(node.dist.probs * node.shares())
+                node.overlay = {}
             else:
-                if node.sums is None:
-                    node.sums = self._base(node.dist, None)[:]
+                if node.base is None:
+                    node.base = self._base(node.dist, None)
                 for token in tokens:
                     self._repath(node, token)
                 if depth < changed:
                     self._repath(node, path[depth])  # the child's p changed
-            node.p = _clamped(node.sums[1])
+            node.p = _clamped(node.overlay.get(1, node.base[1]))
         return before - root.p
 
     def _base(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> array:
         """The tree of a node with conditional ``dist``, no children and no
-        leaves but ``mask``'s False entries; built once per pair."""
+        leaves but ``mask``'s False entries; built once per pair and shared
+        as the base of every node that has that pair."""
         key = (id(dist), None if mask is None else id(mask))
         hit = self._bases.get(key)
         if hit is None:  # the entry holds both objects, so neither id is reused
@@ -340,17 +353,20 @@ class InvalidPrefixTrie:
         return hit[2]
 
     def _repath(self, node: TrieNode, token: int) -> None:
-        """Recompute the sums on ``token``'s path, bottom-up."""
-        sums = node.sums
+        """Recompute the sums on ``token``'s path, bottom-up, into the
+        node's overlay; each is its children's sum, and float addition
+        commutes, so adding the sibling to the path's sum gives left +
+        right bit for bit."""
+        base, over = node.base, node.overlay
         probs = node.dist.draw_tables[0]
         t = token & ~1  # the left leaf of token's pair
         right = node.term(probs, t + 1) if t + 1 < len(probs) else 0.0
-        i = (len(sums) + t) >> 1
-        sums[i] = node.term(probs, t) + right
-        i >>= 1
-        while i:
-            sums[i] = sums[2 * i] + sums[2 * i + 1]
+        i = (len(base) + t) >> 1
+        s = over[i] = node.term(probs, t) + right
+        while i > 1:
+            sibling = i ^ 1
             i >>= 1
+            s = over[i] = s + (over[sibling] if sibling in over else base[sibling])
 
     def draw(
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...], u: float
@@ -371,24 +387,32 @@ class InvalidPrefixTrie:
         p = node.p
         if p <= 0.0:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
-        sums = node.sums
-        if abs(sums[1] - p) > _SUM_TOL * p:
+        base, over = node.base, node.overlay
+        total = over[1] if 1 in over else base[1]
+        if abs(total - p) > _SUM_TOL * p:
             raise TrieCorruptionError(
-                f"reweighted conditional after prefix {ids} sums to {sums[1] / p!r}; "
+                f"reweighted conditional after prefix {ids} sums to {total / p!r}; "
                 "bookkeeping corrupt"
             )
-        width = len(sums)
+        width = len(base)
         half = width >> 1
         # acc < target throughout, so every subtree entered holds mass: a
         # left one reaches target or has a massless sibling, a right one is
-        # tested
+        # tested.  The overlay's keys are closed upward, so below a sum it
+        # lacks every sum is the base's.
         target = u * p or _TINY
         acc = 0.0
         k = 1
+        while k < half and k in over:
+            k <<= 1
+            s = acc + (over[k] if k in over else base[k])
+            if s < target and (over[k + 1] if k + 1 in over else base[k + 1]) > 0.0:
+                acc = s
+                k += 1
         while k < half:
             k <<= 1
-            s = acc + sums[k]
-            if s < target and sums[k + 1] > 0.0:
+            s = acc + base[k]
+            if s < target and base[k + 1] > 0.0:
                 acc = s
                 k += 1
         probs = node.dist.draw_tables[0]
@@ -470,18 +494,27 @@ class InvalidPrefixTrie:
         return [ids for ids, node in self._walk(self.root) if node is None]
 
     def check_local_consistency(self, tol: float = 1e-9) -> None:
-        """Debug mode: rebuild every node's sum tree from its shares, which
-        must give the stored sums bit for bit, and recompute every p
-        bottom-up from the children's recomputed values, not from the
-        stored shares, and compare against the incrementally maintained
-        values."""
+        """Debug mode: check that every node's overlay keys are closed
+        upward, rebuild every node's sum tree from its shares, which must
+        give its base overlaid with its overlay bit for bit, and recompute
+        every p bottom-up from the children's recomputed values, not from
+        the stored shares, and compare against the incrementally
+        maintained values."""
 
         def recompute(ids: tuple[int, ...], node: TrieNode) -> float:
             fresh = 1.0
             if node.dist is not None:
                 shares = node.shares()
                 want = _tree(node.dist.probs * shares)
-                if node.sums is None or node.sums.tobytes() != want.tobytes():
+                over = node.overlay
+                tree = array("d", node.base or ())
+                for k, s in over.items():
+                    if not 0 < k < len(tree) or (k > 1 and k >> 1 not in over):
+                        raise TrieCorruptionError(
+                            f"node {ids}: overlay sum {k} is off the heap or lacks its parent"
+                        )
+                    tree[k] = s
+                if tree.tobytes() != want.tobytes():
                     raise TrieCorruptionError(
                         f"node {ids}: sum tree differs from the one its shares give"
                     )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exsample.cli import ExperimentConfig, main, oracle_report, run_experiment
+from exsample.cli import ExperimentConfig, load_lm, main, oracle_report, run_experiment
 from exsample.grammar import EmptyLanguageError
 
 
@@ -317,6 +317,26 @@ def test_gcd_dump_trie_writes_root_only_snapshots(fixtures_dir, tmp_path):
     ]
     # gcd never writes to its trie: the root alone, with all of the mass
     assert all(p.read_text() == "\t1.0\t0\n" for p in snapshots)
+
+
+def _remote_cfg(fixtures_dir, tmp_path, eos):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"tokens": ["0", "1", "+", "$"], "eos": eos}))
+    return ExperimentConfig(lm="http://127.0.0.1:9/", constraint=str(fixtures_dir / "arith.g"),
+                            horizon=3, vocab=str(vocab))
+
+
+def test_vocab_file_loads_for_a_remote_model(fixtures_dir, tmp_path):
+    # building the client sends no request
+    assert load_lm(_remote_cfg(fixtures_dir, tmp_path, 3)).vocab.eos == 3
+
+
+@pytest.mark.parametrize("bad", [2.9, True, "2"])
+def test_vocab_file_eos_must_be_a_json_integer(fixtures_dir, tmp_path, bad):
+    """eos is refused, not coerced, as in the model documents."""
+    want = f"vocabulary document field 'eos' must be an integer, not {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_lm(_remote_cfg(fixtures_dir, tmp_path, bad))
 
 
 @pytest.mark.parametrize("flag", ["--lm", "--vocab", "--config"], ids=lambda f: f[2:])

@@ -98,6 +98,15 @@ def test_non_finite_rejected(server):
         lm.next_distribution(lm.vocab.empty())
 
 
+def test_logprobs_must_fit_a_float(server):
+    """A JSON integer beyond the float range is refused by index, not
+    passed on as an OverflowError."""
+    server.respond = lambda prefix: (200, {"logprobs": [0.0, -1.0, -(10**400), -3.0]})
+    lm = _client(server)
+    with pytest.raises(ValueError, match="logprobs entry 2 is too large for a float"):
+        lm.next_distribution(lm.vocab.empty())
+
+
 @pytest.mark.parametrize("index, bad", [(0, "0.0"), (2, False), (3, None)])
 def test_logprobs_must_be_json_numbers(server, index, bad):
     """A log-probability that only coerces to a float is refused, by index."""

@@ -420,16 +420,24 @@ def test_draw_matches_reweight_factors(arith_lm):
                 assert trie.p_value(prefix + (token,)) > 0.0 and dist[token] > 0.0
 
 
+def _effective_tree(node):
+    """The bytes of a node's sum tree: its base with its overlay applied."""
+    tree = node.base[:]
+    for k, s in node.overlay.items():
+        tree[k] = s
+    return tree.tobytes()
+
+
 def test_draw_is_read_only(arith_lm):
     trie, _ = build(arith_lm, CARS_INSERTS)
     before = trie.dump()
-    trees = {prefix: (node.sums.tobytes(), node.p) for prefix, node in trie.nodes()}
+    trees = {prefix: (_effective_tree(node), node.p) for prefix, node in trie.nodes()}
     for prefix, node in trie.nodes():
         dist = arith_lm.next_distribution(Sequence(prefix, False))
         for u in np.linspace(0, 1, 101).tolist():
             trie.draw(node, dist, prefix, u)
     assert trie.dump() == before
-    assert {prefix: (node.sums.tobytes(), node.p) for prefix, node in trie.nodes()} == trees
+    assert {prefix: (_effective_tree(node), node.p) for prefix, node in trie.nodes()} == trees
     trie.check_local_consistency()
 
 
@@ -484,15 +492,16 @@ def test_draw_short_inside_a_subtree_stays_on_positive_mass():
     trie = InvalidPrefixTrie()
     trie.update((), [dist], {0: [1, 2, 3]})
     node = trie.root
-    left = node.sums[2]
-    assert left == dist[0] and node.sums[5] == 0.0
-    node.sums[2] = math.nextafter(left, 1.0)
+    over = node.overlay  # tokens 1..3's paths: sums 4, 5, 2 and 1
+    left = over[2]
+    assert left == dist[0] and over[5] == 0.0
+    over[2] = math.nextafter(left, 1.0)
     edge = left / node.p  # the u whose target is the term
     near = [edge]
     for _ in range(4):
         near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 1.0)]
     grid = np.linspace(0, 1, 1001).tolist() + near
-    assert any(left < u * node.p <= node.sums[2] for u in grid)  # some u falls short
+    assert any(left < u * node.p <= over[2] for u in grid)  # some u falls short
     for u in grid:
         token = trie.draw(node, dist, (), u)
         assert trie.p_value((token,)) > 0.0 and dist[token] > 0.0, (u, token)
@@ -568,9 +577,56 @@ def test_consistency_check_compares_sum_trees_bit_for_bit(arith_lm):
     trie, _ = build(arith_lm, CARS_INSERTS)
     trie.check_local_consistency()
     node = trie.root.children[0]
-    node.sums[1] = math.nextafter(node.sums[1], 1.0)  # one ulp; p untouched
+    node.overlay[1] = math.nextafter(node.overlay[1], 1.0)  # one ulp; p untouched
     with pytest.raises(TrieCorruptionError, match=r"node \(0,\): sum tree differs"):
         trie.check_local_consistency()
+
+
+def test_consistency_check_needs_overlay_keys_closed_upward():
+    """Token 1 has no mass, so making it a leaf recomputes sums 4, 2 and 1
+    to their base bits.  With sum 2 dropped from the overlay the effective
+    tree is still bit for bit the one the shares give, but sum 4 is
+    orphaned, and a descent that leaves the overlay at 2 would never read
+    it: the check must name the node."""
+    probs = [0.2, 0.0, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1]
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(7)] + ["$"], eos=7)
+    lm = TableLM(vocab, {}, probs, 3)
+    dist = lm.next_distribution(vocab.empty())
+    trie = InvalidPrefixTrie()
+    trie.update((), [dist], {0: [1]})
+    trie.update((0,), [dist, dist], {1: [1]})
+    node = trie.root.children[0]
+    assert sorted(node.overlay) == [1, 2, 4]
+    trie.check_local_consistency()
+    assert node.overlay.pop(2) == node.base[2]
+    with pytest.raises(TrieCorruptionError, match=r"node \(0,\): overlay sum 4 .*lacks its parent"):
+        trie.check_local_consistency()
+
+
+@pytest.mark.parametrize("method", ["ars", "cars"])
+def test_v1024_nodes_share_base_trees(method):
+    """After a seed-1 episode of 20 accepts on dfa-v1024, every tracked
+    node shares the base tree of its (conditional, mask) pair and
+    overlays only the paths of the shares changed since: at most log2 W
+    sums per child and explicit leaf, and under 5% of a full W-float tree
+    per node over the whole trie."""
+    lm, checker = _bench_workload("dfa-v1024").build()
+    tries = []
+    cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * 20)
+    stream, _ = run(lm, checker, cfg, 20, trie_hook=lambda generation, trie: tries.append(trie))
+    assert len(list(stream)) == 20
+    trie = tries[-1]
+    trie.check_local_consistency()
+    nodes = [node for _, node in trie.nodes()]
+    width = len(nodes[0].base)
+    assert width == 1024
+    bases = {}
+    for node in nodes:
+        assert bases.setdefault((id(node.dist), id(node.mask)), node.base) is node.base
+        bound = (len(node.children) + len(node.invalid)) * (width.bit_length() - 1)
+        assert len(node.overlay) <= bound
+    assert len(bases) < len(nodes)
+    assert sum(len(node.overlay) for node in nodes) <= 0.05 * len(nodes) * width
 
 
 def test_reweight_untracked_is_identity(arith_lm):

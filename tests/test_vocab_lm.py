@@ -261,6 +261,23 @@ def test_table_lm_probabilities_must_be_json_numbers(field, index, bad):
 
 
 @pytest.mark.parametrize(
+    "field, index, big",
+    [("default", 2, 10**400), ("contexts", 0, -(10**309))],
+    ids=["default", "context"],
+)
+def test_table_lm_probabilities_must_fit_a_float(field, index, big):
+    """A JSON integer beyond the float range is refused by vector and
+    index, not passed on as an OverflowError."""
+    doc = _doc()
+    vec = doc["default"] if field == "default" else doc["contexts"]["0,2"]
+    vec[index] = big
+    where = "default vector" if field == "default" else "context '0,2'"
+    want = f"{where}: entry {index} is too large for a float"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        table_lm_from_doc(doc)
+
+
+@pytest.mark.parametrize(
     "field, bad", [("eos", 2.9), ("eos", 3.0), ("eos", True), ("horizon", "3"), ("horizon", None)]
 )
 def test_table_lm_eos_and_horizon_must_be_json_integers(field, bad):
