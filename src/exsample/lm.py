@@ -17,6 +17,7 @@ import urllib.error
 import urllib.request
 import warnings
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -76,6 +77,21 @@ class NextTokenDistribution:
 
     def __len__(self) -> int:
         return len(self.probs)
+
+
+def draw_index(probs: list[float], cum: list[float], u: float) -> int:
+    """Inverse-CDF draw: the smallest positive-mass index i with cum[i] >= u,
+    ``probs`` and ``cum`` being a conditional's ``draw_tables``."""
+    n = len(probs)
+    i = bisect_left(cum, u)
+    if i >= n:  # u above the accumulated total (floating shortfall)
+        i = n - 1
+        while probs[i] <= 0.0:
+            i -= 1
+        return i
+    while probs[i] <= 0.0:  # u == a boundary shared with zero-mass entries
+        i += 1
+    return i
 
 
 class LanguageModel(ABC):

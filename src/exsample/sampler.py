@@ -15,11 +15,7 @@ differ only in what each generation records:
         stays empty and its root mass stays 1
 
 Every prefix a generation records branches off its sampled path, so the
-trie takes the whole generation as one update: groups of invalid one-token
-continuations keyed by depth along the path.  rsft and cars give each
-group as the step's viability mask, which sweeps the node; the trie skips
-a swept node on later traces, as its invalid continuations are leaves
-already.
+trie takes the whole generation as one update (see ``invalid_set``).
 
 A rejection method is sound as long as it only ever inserts genuinely invalid
 prefixes; acceptance probability then improves monotonically while the
@@ -37,14 +33,13 @@ value at a time, so the blocks change the cost of a draw, not its bits.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .constraints import ConstraintChecker
-from .lm import LanguageModel, NextTokenDistribution
+from .lm import LanguageModel, NextTokenDistribution, draw_index
 from .metrics import RunMetrics
 from .trie import InvalidPrefixTrie, MassExhaustedError, TrieCorruptionError
 from .vocab import Sequence
@@ -133,38 +128,19 @@ class _BlockUniforms:
         self.random = stream().__next__
 
 
-def draw_index(probs: list[float], cum: list[float], u: float) -> int:
-    """Inverse-CDF draw: the smallest positive-mass index i with cum[i] >= u.
-
-    ``probs`` and ``cum`` are the lists of ``NextTokenDistribution.draw_tables``,
-    for an untracked node or gcd's masked conditional; a tracked node draws
-    by ``InvalidPrefixTrie.draw`` instead.
-    """
-    n = len(probs)
-    i = bisect_left(cum, u)
-    if i >= n:  # u above the accumulated total (floating shortfall)
-        i = n - 1
-        while probs[i] <= 0.0:
-            i -= 1
-        return i
-    while probs[i] <= 0.0:  # u == a boundary shared with zero-mass entries
-        i += 1
-    return i
-
-
 def _draw(
     lm: LanguageModel,
     checker: ConstraintChecker,
-    trie: InvalidPrefixTrie | None,
+    trie: InvalidPrefixTrie,
     cfg: SamplerConfig,
     rng,
-    tables: dict | None,
+    masked: bool,
 ) -> SampleTrace:
     """The per-token loop of every method: draw one terminated sequence,
     one ``rng.random()`` per emitted token.  A tracked trie node draws from
     the trie's reweighted conditional, an untracked one from the model's;
-    gcd (``tables`` and no trie) draws from the model masked by the step's
-    viability mask and renormalized, a conditional cached per run.
+    gcd (``masked``) draws from the model masked by the step's viability
+    mask and renormalized, from the trie's cache (``InvalidPrefixTrie.masked``).
 
     Viability masks are recorded while the growing prefix remains viable;
     once it leaves the viable set, everything below is already covered by
@@ -172,7 +148,7 @@ def _draw(
     membership is asked only of a sequence that stayed viable.  A masked
     draw never leaves the viable set.
     """
-    if trie is not None and trie.root.p <= 0.0:
+    if trie.root.p <= 0.0:
         raise MassExhaustedError("no valid mass left; constraint unreachable")
     eos = lm.vocab.eos
     random = rng.random
@@ -180,7 +156,7 @@ def _draw(
     dists: list[NextTokenDistribution] = []
     masks: list[np.ndarray] = []
     # a root nothing was recorded under has no tree: its draws are untracked
-    node = None if trie is None or trie.root.dist is None else trie.root
+    node = None if masked or trie.root.dist is None else trie.root
     viable = True
     while True:
         prefix = Sequence(tuple(ids), False)
@@ -189,8 +165,8 @@ def _draw(
         if viable:
             mask = checker.viability_mask(prefix)
             masks.append(mask)
-        if tables is not None:  # gcd: draw from the masked conditional instead
-            dist = _masked_dist(tables, dist, mask)
+        if masked:  # gcd: draw from the masked conditional instead
+            dist = trie.masked(dist, mask).table
             if dist is None:
                 if len(ids) == cfg.max_len:
                     # horizon dead end: eos forced but not a member here
@@ -225,7 +201,7 @@ def sample_one(
 ) -> SampleTrace:
     """Draw one terminated sequence from the trie-reweighted model, one
     ``rng.random()`` per emitted token."""
-    return _draw(lm, checker, trie, cfg, rng, None)
+    return _draw(lm, checker, trie, cfg, rng, False)
 
 
 def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.ndarray]:
@@ -257,24 +233,12 @@ def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.nda
     return dict(enumerate(masks))
 
 
-def _masked_dist(tables: dict, dist: NextTokenDistribution, mask: np.ndarray):
-    """``dist`` masked by ``mask`` and renormalized (None when no mass is
-    left), cached in ``tables`` per (distribution, mask) pair."""
-    key = (id(dist), id(mask))
-    hit = tables.get(key)
-    if hit is None:  # the entry holds both objects, so neither id is reused
-        allowed = dist.probs * mask
-        masked = NextTokenDistribution(allowed) if allowed.any() else None
-        hit = tables[key] = (dist, mask, masked)
-    return hit[2]
-
-
 def gcd_sample(
     lm: LanguageModel,
     checker: ConstraintChecker,
+    trie: InvalidPrefixTrie,
     cfg: SamplerConfig,
     rng,
-    tables: dict | None = None,
 ) -> SampleTrace:
     """Greedy constrained decoding: mask non-viable tokens, renormalize,
     sample, one ``rng.random()`` per emitted token.  Efficient but biased
@@ -283,10 +247,10 @@ def gcd_sample(
     If the horizon forces eos while the sequence is not a member (the
     constraint's shortest completion ran past the horizon), the attempt is
     returned unterminated and not accepted; the caller recounts it.
-    ``tables`` caches the masked distributions; ``run`` passes one dict for
-    the whole run, so it lives no longer than the run's model and checker.
+    The masked distributions are cached in ``trie``, which gcd records
+    nothing in; ``run`` passes one per run, as long-lived as its model.
     """
-    return _draw(lm, checker, None, cfg, rng, {} if tables is None else tables)
+    return _draw(lm, checker, trie, cfg, rng, True)
 
 
 def run(
@@ -317,15 +281,12 @@ def run(
         method = cfg.method
         trie = InvalidPrefixTrie()
         gcd = method == "gcd"
-        if gcd:
-            draw, args = gcd_sample, (lm, checker, cfg, rng, {})
-        else:
-            draw, args = sample_one, (lm, checker, trie, cfg, rng)
+        draw = gcd_sample if gcd else sample_one
         try:
             for generation in range(1, cfg.sample_cap + 1):
                 if target_valid is not None and metrics.accepted >= target_valid:
                     return
-                trace = draw(*args)
+                trace = draw(lm, checker, trie, cfg, rng)
                 metrics.generations = generation
                 previous = trie.root.p
                 groups = invalid_set(trace, method)

@@ -14,49 +14,46 @@ A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
 its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
 entries of the viability ``mask`` that swept it), and a binary sum tree
 over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method for
-weighted sampling without replacement", SIAM J. Comput. 1980).  The tree
-is a heap over W leaves, W being V rounded up to a power of two: leaf
-W + t is token t's term (zero past V) and sum i is sum 2i plus sum 2i + 1,
-so sum 1 is p(u).  Leaf terms are not stored: they are computed when read,
-from ``dist`` and the shares.
+weighted sampling without replacement", SIAM J. Comput. 1980): a heap over
+W leaves, W being V rounded up to a power of two, where leaf W + t is
+token t's term (zero past V, computed from ``dist`` and the shares when
+read) and sum i is sum 2i plus sum 2i + 1, so sum 1 is p(u).  A changed
+share recomputes the log2 W sums on its token's path, each as left +
+right, never by adding or subtracting a delta: every sum is a
+fixed-order sum of the node's current terms, and float addition is
+monotone, so a falling share never raises a sum and no cancellation eats
+a tiny remaining mass.  A draw descends one path, stepping right only
+into positive mass, so it ends on a positive-mass token.
 
 A node does not own a heap.  Its ``base`` is a whole one, W floats in an
-array (index 0 unused), that it shares: the trie builds one per
-conditional for unswept nodes and one per (conditional, mask) pair for
-nodes a mask swept, and keeps them while it lives.  Its ``overlay`` maps a
-heap index to a sum recomputed since that base, and sum i is
-``overlay[i]`` when present, else ``base[i]``.  A recomputed sum's parent
-is recomputed too, so the overlay's keys are closed upward, and below a
-sum it lacks every sum is the base's.  A node thus stores at most log2 W
-sums per share changed since its base, not W (path copying, as in
-Driscoll, Sarnak, Sleator & Tarjan, "Making Data Structures Persistent",
-1989).
+array (index 0 unused), shared through the trie's one per-run cache: an
+entry per (conditional, mask) pair, the mask None for unswept nodes.  Its
+``overlay`` maps a heap index to a sum recomputed since that base; sum i
+is ``overlay[i]`` when present, else ``base[i]``.  A recomputed sum's
+parent is recomputed too, so the overlay's keys are closed upward, and a
+sum it lacks covers only terms unchanged since the base, so it has the
+base's bits: the bits of a whole heap per node, for log2 W stored sums
+per changed share (path copying: Driscoll, Sarnak, Sleator & Tarjan,
+"Making Data Structures Persistent", 1989).
 
-A changed share recomputes the sums on its token's path, log2 W of them,
-each as left + right from its two children; a draw descends one path,
-stepping right only into positive mass, so it always ends on a
-positive-mass token: O(log V) either way, where a dense share vector
-costs a V-length sum per change and a V-length table per draw.  No sum
-is ever adjusted by adding or subtracting a delta.  Each is recomputed
-from its children, so it is always a fixed-order sum of the node's
-current terms, its bits a function of those terms alone; float addition
-is monotone, so a share that falls can never raise a sum, and no
-cancellation can eat a tiny remaining mass.  A sum the overlay lacks
-covers only terms unchanged since the base, so it has the bits the base
-stored, and the bits are those of a whole heap per node.
+A cache entry also holds its pair's masked conditional, renormalized,
+which gcd draws from; each part is built when first read.  A node swept
+while it had no children and no leaves, that has gained none since, has
+an empty overlay over its pair's tree, so its reweighted conditional is
+that one, and it draws by a bisect of its running sums, as gcd does
+(rsft's root, from its second generation on).  The two inverse CDFs
+round differently, so they can part only for a u within rounding of a
+boundary between two tokens.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
-along the path.  One walk down checks the path, makes each group's tokens
-leaves, and every node from the deepest one changed up to the root then
-recomputes the changed paths of its tree and sets p from its root sum
-(a node no update has changed yet keeps p = 1).  A group given as a
-viability mask sweeps its node: every invalid one-token continuation is
-then a leaf, so later masks at that node are skipped, and an update that
-changes nothing returns after its walk.  A sweep of a node that already
-has children or leaves rebuilds its tree once, in O(V), with the same
-sums in the same order, so the bits are those of the incremental path;
-that tree becomes the node's own base, under an empty overlay.
+along the path.  One walk down checks the path and makes each group's
+tokens leaves; every node from the deepest one changed up to the root
+then recomputes its changed paths and sets p from its root sum (an
+unchanged node keeps p = 1).  A group given as a viability mask sweeps
+its node, so later masks there are skipped.  A sweep of a node that has
+children or leaves rebuilds its tree once, in O(V), with the same sums
+in the same order, as the node's own base under an empty overlay.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -66,11 +63,12 @@ through the trie's methods.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .lm import NextTokenDistribution
+from .lm import NextTokenDistribution, draw_index
 from .vocab import Sequence
 
 
@@ -128,18 +126,39 @@ def _tree(terms: np.ndarray) -> array:
 _NO_LEAVES: frozenset[int] = frozenset()
 
 
+class Masked:
+    """A trie's cache entry for (``dist``, ``mask``), holding both so neither
+    id in its key is reused: dist.probs·mask's sum ``tree`` (``mask`` None:
+    unmasked) and its renormalized ``table`` (None when no mass is left),
+    each built when first read."""
+
+    def __init__(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> None:
+        self.dist = dist
+        self.mask = mask
+
+    @cached_property
+    def tree(self) -> array:
+        return _tree(self.dist.probs if self.mask is None else self.dist.probs * self.mask)
+
+    @cached_property
+    def table(self) -> NextTokenDistribution | None:
+        terms = self.dist.probs * self.mask
+        return NextTokenDistribution(terms) if terms.any() else None
+
+
 class TrieNode:
     """A tracked viable prefix u: ``children`` maps a token t to the node
     of u·t, and ``base`` and ``overlay`` hold the sum tree of
     P(a|u)·p(u·a): sum i is ``overlay[i]`` if present, else ``base[i]``."""
 
-    __slots__ = ("base", "children", "dist", "invalid", "mask", "overlay", "p")
+    __slots__ = ("base", "children", "dist", "invalid", "mask", "masked", "overlay", "p")
 
     def __init__(self, dist: NextTokenDistribution | None) -> None:
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
         self.mask = None  # the viability mask that swept the node
+        self.masked = None  # the cache entry of (dist, mask) when base is its tree
         self.p = 1.0
         self.base = None  # a heap of sums, often shared; set by the first update
         self.overlay: dict[int, float] = {}  # heap index -> sum recomputed since base
@@ -196,7 +215,7 @@ class InvalidPrefixTrie:
     def __init__(self) -> None:
         self.root = TrieNode(None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
-        self._bases: dict = {}  # (id(dist), id(mask) or None) -> (dist, mask, tree)
+        self._cache: dict = {}  # (id(dist), id(mask)) -> Masked
 
     @property
     def p_eps(self) -> float:
@@ -307,7 +326,8 @@ class InvalidPrefixTrie:
                 node.mask = group
                 if fresh or pruned:
                     if plain:
-                        node.base = self._base(node.dist, group)
+                        node.masked = self.masked(node.dist, group)
+                        node.base = node.masked.tree
                     else:
                         dirty[depth] = None
             else:  # a few tokens, ars's one: a path each
@@ -333,7 +353,7 @@ class InvalidPrefixTrie:
                 node.overlay = {}
             else:
                 if node.base is None:
-                    node.base = self._base(node.dist, None)
+                    node.base = self.masked(node.dist, None).tree
                 for token in tokens:
                     self._repath(node, token)
                 if depth < changed:
@@ -341,16 +361,13 @@ class InvalidPrefixTrie:
             node.p = _clamped(node.overlay.get(1, node.base[1]))
         return before - root.p
 
-    def _base(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> array:
-        """The tree of a node with conditional ``dist``, no children and no
-        leaves but ``mask``'s False entries; built once per pair and shared
-        as the base of every node that has that pair."""
-        key = (id(dist), None if mask is None else id(mask))
-        hit = self._bases.get(key)
-        if hit is None:  # the entry holds both objects, so neither id is reused
-            terms = dist.probs if mask is None else dist.probs * mask
-            hit = self._bases[key] = (dist, mask, _tree(terms))
-        return hit[2]
+    def masked(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> Masked:
+        """The cache entry of (``dist``, ``mask``), made on first use."""
+        key = (id(dist), id(mask))
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = Masked(dist, mask)
+        return entry
 
     def _repath(self, node: TrieNode, token: int) -> None:
         """Recompute the sums on ``token``'s path, bottom-up, into the
@@ -378,6 +395,9 @@ class InvalidPrefixTrie:
         floating shortfall it ends on the last positive-mass token of the
         subtree it fell short in.
 
+        A swept node with an empty overlay still has its mask's tree, so its
+        reweighted conditional is ``masked(dist, mask).table``: it bisects that.
+
         ``dist`` must be the node's conditional; the tree's total must equal
         the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
         check fails.
@@ -394,6 +414,9 @@ class InvalidPrefixTrie:
                 f"reweighted conditional after prefix {ids} sums to {total / p!r}; "
                 "bookkeeping corrupt"
             )
+        if not over and node.masked is not None:
+            probs, cum = node.masked.table.draw_tables
+            return draw_index(probs, cum, u)
         width = len(base)
         half = width >> 1
         # acc < target throughout, so every subtree entered holds mass: a

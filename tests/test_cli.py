@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -358,3 +361,35 @@ def test_bad_json_file_is_a_value_error_naming_it(fixtures_dir, tmp_path, flag, 
     with pytest.raises(ValueError, match=message) as err:
         main(args)
     assert str(bad) in str(err.value)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECK_IMPORTS = ROOT / "scripts" / "check_imports.py"
+
+
+def _check_imports(*path):
+    """scripts/check_imports.py run in a fresh interpreter with ``path``
+    first on its import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+    return subprocess.run(
+        [sys.executable, str(CHECK_IMPORTS)], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    """What the bare-install CI job checks: ``import exsample.cli`` loads
+    no third-party module beyond numpy."""
+    done = _check_imports(ROOT / "src")
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_import_check_names_a_third_party_module(tmp_path):
+    """The check fails, naming the module, when the CLI pulls in one that
+    is neither the standard library nor numpy."""
+    (tmp_path / "exsample").mkdir()
+    (tmp_path / "exsample" / "__init__.py").write_text("")
+    (tmp_path / "exsample" / "cli.py").write_text("import thirdparty_dep\n")
+    (tmp_path / "thirdparty_dep.py").write_text("")
+    done = _check_imports(tmp_path)
+    assert done.returncode == 1
+    assert "thirdparty_dep" in done.stdout

@@ -552,7 +552,7 @@ def test_gcd_unrestricted_equals_unconstrained(arith_lm):
     plain_rng = make_rng(21)
     trie = InvalidPrefixTrie()
     for _ in range(300):
-        constrained = gcd_sample(arith_lm, anything, cfg, rng)
+        constrained = gcd_sample(arith_lm, anything, InvalidPrefixTrie(), cfg, rng)
         plain = sample_one(arith_lm, anything, trie, cfg, plain_rng)
         assert constrained.tokens.ids == plain.tokens.ids
         assert constrained.accepted
@@ -568,7 +568,8 @@ def test_gcd_draws_without_the_module_sample_one(arith_lm, arith_checker, monkey
         raise AssertionError("gcd_sample went through sample_one")
 
     monkeypatch.setattr(sampler_mod, "sample_one", wrapped)
-    assert gcd_sample(arith_lm, arith_checker, cfg_for(arith_lm, "gcd"), make_rng(3)).accepted
+    cfg = cfg_for(arith_lm, "gcd")
+    assert gcd_sample(arith_lm, arith_checker, InvalidPrefixTrie(), cfg, make_rng(3)).accepted
     stream, _ = run(arith_lm, arith_checker, cfg_for(arith_lm, "gcd"), target_valid=20)
     assert len(list(stream)) == 20
 
@@ -577,8 +578,9 @@ def test_gcd_two_word_bias(twoword_lm, twoword_checker):
     cfg = cfg_for(twoword_lm, "gcd")
     rng = make_rng(6)
     counts = {"a": 0, "bb": 0}
+    trie = InvalidPrefixTrie()
     for _ in range(10000):
-        trace = gcd_sample(twoword_lm, twoword_checker, cfg, rng)
+        trace = gcd_sample(twoword_lm, twoword_checker, trie, cfg, rng)
         assert trace.accepted
         counts["a" if trace.tokens.ids == (0, 3) else "bb"] += 1
     freq_a = counts["a"] / 10000
@@ -613,14 +615,14 @@ def _gcd_instance(name, arith_lm, arith_checker):
 def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith_checker):
     """gcd's cached draw tables give the same tokens as renormalizing
     ``dist.probs * mask`` afresh at every step with ``np.cumsum``, fed the
-    same uniforms, when one cache serves many samples."""
+    same uniforms, when one trie's cache serves many samples."""
     lm, checker = _gcd_instance(instance, arith_lm, arith_checker)
     cfg = cfg_for(lm, "gcd")
     rng = make_rng(31)
     ref_rng = make_rng(31)
-    tables: dict = {}
+    trie = InvalidPrefixTrie()
     for _ in range(300):
-        trace = gcd_sample(lm, checker, cfg, rng, tables)
+        trace = gcd_sample(lm, checker, trie, cfg, rng)
         ref_ids = []
         while True:
             prefix = Sequence(tuple(ref_ids), False)
@@ -636,10 +638,13 @@ def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith
         assert trace.tokens.ids == tuple(ref_ids)
         assert trace.accepted == (trace.tokens.terminated and checker.is_complete(trace.tokens))
     # each entry holds the two objects whose ids key it, so no id is reused
-    assert all(key == (id(entry[0]), id(entry[1])) for key, entry in tables.items())
+    assert trie._cache
+    assert all(key == (id(entry.dist), id(entry.mask)) for key, entry in trie._cache.items())
+    assert trie.root.dist is None  # gcd records nothing
 
 
-def test_gcd_horizon_dead_end_trace_with_shared_cache():
+def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
+    import exsample.trie as trie_mod
     from exsample.lm import TableLM
 
     vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
@@ -647,13 +652,28 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache():
     checker = EarleyChecker(parse_grammar('S : "a" "a" "a"\n'), vocab)
     cfg = SamplerConfig(method="gcd", seed=1, max_len=2)
     rng = make_rng(1)
-    tables: dict = {}
-    for _ in range(3):  # the dead-end entry is served from the cache after the first
-        trace = gcd_sample(lm, checker, cfg, rng, tables)
+    trie = InvalidPrefixTrie()
+    built = []
+
+    def counted(probs):
+        built.append(probs)
+        return NextTokenDistribution(probs)
+
+    monkeypatch.setattr(trie_mod, "NextTokenDistribution", counted)
+    for i in range(3):  # the dead-end entry is served from the cache after the first
+        trace = gcd_sample(lm, checker, trie, cfg, rng)
         assert trace.tokens == Sequence((0, 0), False)
         assert not trace.accepted
         assert trace.lm_calls == len(trace.step_dists) == len(trace.step_masks) == 3
         assert trace.step_dists[-1] is lm.next_distribution(Sequence((0, 0), False))
+        if i == 0:
+            entries = dict(trie._cache)
+            # the horizon's eos point mass masked to nothing: a None table, cached
+            dead = [entry for entry in entries.values() if entry.table is None]
+            assert len(dead) == 1 and dead[0].dist is trace.step_dists[-1]
+            first = len(built)
+        assert trie._cache == entries  # the same entry objects, nothing added
+        assert len(built) == first  # and no table rebuilt
 
 
 def test_gcd_exact_methods_beat_it_on_kl(arith_lm, arith_checker):

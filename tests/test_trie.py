@@ -14,7 +14,7 @@ from exsample import (
     enumerate_lm,
     run,
 )
-from exsample.lm import TableLM, sequence_probability
+from exsample.lm import NextTokenDistribution, TableLM, draw_index, sequence_probability
 from exsample.oracle import exact_p
 from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, _clamped
 from exsample.vocab import Vocabulary
@@ -627,6 +627,143 @@ def test_v1024_nodes_share_base_trees(method):
         assert len(node.overlay) <= bound
     assert len(bases) < len(nodes)
     assert sum(len(node.overlay) for node in nodes) <= 0.05 * len(nodes) * width
+
+
+def _episode_trie(workload, method, accepts=20):
+    """The trie of a seed-1 ``method`` episode of ``accepts`` accepts on
+    the benchmark workload ``workload``."""
+    lm, checker = _bench_workload(workload).build()
+    tries = []
+    cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * accepts)
+    stream, _ = run(lm, checker, cfg, accepts, trie_hook=lambda generation, trie: tries.append(trie))
+    assert len(list(stream)) == accepts
+    return tries[-1]
+
+
+@pytest.mark.parametrize("workload", ["arith", "dfa-v1024"])
+def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
+    """After a seed-1 rsft episode the root is swept, with no children or
+    other leaves and an empty overlay, so ``draw`` bisects the masked
+    conditional's table: for 20 000 uniforms it gives the token that
+    ``draw_index`` gives over the running sums of ``reweight_factors``."""
+    import exsample.trie as trie_mod
+
+    trie = _episode_trie(workload, "rsft")
+    root = trie.root
+    assert root.swept and not root.children and not root.invalid and not root.overlay
+    assert root.masked is not None and root.base is root.masked.tree
+    probs = trie.reweight_factors((), root.dist)
+    probs_list, cum = probs.tolist(), np.cumsum(probs).tolist()
+    flat = []
+    monkeypatch.setattr(trie_mod, "draw_index", lambda *args: flat.append(1) or draw_index(*args))
+    for u in np.random.default_rng(21).random(20000).tolist() + [0.0, 1.0 - 2.0**-53]:
+        assert trie.draw(root, root.dist, (), u) == draw_index(probs_list, cum, u), u
+    assert len(flat) == 20002  # every draw took the bisect
+    trie.check_local_consistency()
+
+
+def _plain_swept(size=8):
+    """A trie whose node (0,) is swept by a mask and has nothing else, and
+    the node's conditional."""
+    probs = np.linspace(1.0, 2.0, size)
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
+    lm = TableLM(vocab, {}, probs, 4)
+    dist = lm.next_distribution(vocab.empty())
+    mask = np.ones(size, dtype=bool)
+    mask[[2, 5]] = False
+    trie = InvalidPrefixTrie()
+    trie.update((0,), [dist, dist], {1: mask})
+    node = trie.root.children[0]
+    assert node.swept and not node.children and not node.overlay and node.masked is not None
+    return dist, trie
+
+
+def test_swept_node_that_gains_a_child_draws_by_descent(monkeypatch):
+    """A plain swept node bisects its masked table until it gains a child;
+    from then on its overlay is not empty and it descends its tree, still
+    matching the referee, and the trie stays consistent."""
+    import exsample.trie as trie_mod
+
+    dist, trie = _plain_swept()
+    node = trie.root.children[0]
+    grid = np.linspace(0, 1, 201)
+    flat = []
+    monkeypatch.setattr(trie_mod, "draw_index", lambda *args: flat.append(1) or draw_index(*args))
+    _assert_draws_match(trie, node, dist, (0,), grid)
+    assert flat
+    trie.update((0, 1), [dist, dist, dist], {2: [3]})
+    assert 1 in node.children and node.overlay
+    trie.check_local_consistency()
+
+    def refuse(*args):
+        raise AssertionError("a node with a child drew from its masked table")
+
+    monkeypatch.setattr(trie_mod, "draw_index", refuse)
+    _assert_draws_match(trie, node, dist, (0,), grid)
+
+
+def test_flat_draw_keeps_the_invariant_checks():
+    """On the bisect path ``draw`` still refuses a p that left its tree's
+    total by more than ``_SUM_TOL`` and a conditional that differs from
+    the node's by more than ``_EDGE_TOL``, naming the prefix."""
+    dist, trie = _plain_swept()
+    node = trie.root.children[0]
+    p = node.p
+    node.p = p * (1 + 1e-7)
+    with pytest.raises(TrieCorruptionError, match=r"after prefix \(0,\) sums to"):
+        trie.draw(node, dist, (0,), 0.5)
+    node.p = p
+    probs = dist.probs.copy()
+    probs[[0, 1]] += [1e-9, -1e-9]
+    with pytest.raises(TrieCorruptionError, match=r"token [01] after prefix \(0,\) changed"):
+        trie.draw(node, NextTokenDistribution(probs), (0,), 0.5)
+    trie.draw(node, dist, (0,), 0.5)  # untouched
+
+
+def _built(trie, part):
+    """The cache entries of ``trie`` whose ``part`` (tree or table) was built."""
+    return [entry for entry in trie._cache.values() if part in vars(entry)]
+
+
+@pytest.mark.parametrize("workload", ["arith", "dfa-v1024"])
+def test_cache_builds_only_what_is_read(workload):
+    """Each view of a cache entry is built on first use: gcd reads tables
+    and no sum tree, rsft builds one table, the root's."""
+    trie = _episode_trie(workload, "gcd")
+    assert _built(trie, "table") and not _built(trie, "tree")
+    trie = _episode_trie(workload, "rsft")
+    root = trie.root
+    assert _built(trie, "table") == [root.masked]
+    assert root.masked.dist is root.dist and root.masked.mask is root.mask
+
+
+def test_cars_builds_tables_only_for_flat_draws(monkeypatch):
+    """A 20-accept cars episode on dfa-v1024 builds the masked table of
+    exactly the (conditional, mask) pairs that a plain swept node drew
+    from, no more tables than swept pairs with a tree."""
+    import exsample.sampler as sampler_mod
+
+    drawn = {}
+    plain_trie = sampler_mod.InvalidPrefixTrie
+
+    def watched():
+        trie = plain_trie()
+        draw = trie.draw
+
+        def recorded(node, dist, ids, u):
+            if node.masked is not None and not node.overlay:
+                drawn[id(node.masked)] = node.masked
+            return draw(node, dist, ids, u)
+
+        trie.draw = recorded
+        return trie
+
+    monkeypatch.setattr(sampler_mod, "InvalidPrefixTrie", watched)
+    trie = _episode_trie("dfa-v1024", "cars")
+    built = _built(trie, "table")
+    assert built and {id(entry) for entry in built} == set(drawn)
+    assert all(entry.mask is not None for entry in built)
+    assert len(built) <= len(_built(trie, "tree"))
 
 
 def test_reweight_untracked_is_identity(arith_lm):
