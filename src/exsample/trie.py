@@ -14,46 +14,46 @@ A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
 its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
 entries of the viability ``mask`` that swept it), and a binary sum tree
 over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method for
-weighted sampling without replacement", SIAM J. Comput. 1980): a heap over
-W leaves, W being V rounded up to a power of two, where leaf W + t is
-token t's term (zero past V, computed from ``dist`` and the shares when
-read) and sum i is sum 2i plus sum 2i + 1, so sum 1 is p(u).  A changed
-share recomputes the log2 W sums on its token's path, each as left +
-right, never by adding or subtracting a delta: every sum is a
-fixed-order sum of the node's current terms, and float addition is
+weighted sampling without replacement", SIAM J. Comput. 1980): a heap of
+2W floats, W being V rounded up to a power of two, where leaf W + t holds
+token t's term (zero past V) and sum i is sum 2i plus sum 2i + 1, so sum
+1 is p(u).  A changed share rewrites its token's leaf and recomputes the
+log2 W sums above it, each as left + right, never by adding or
+subtracting a delta: every sum is a fixed-order sum of the node's current
+terms, whatever order the changes came in, and float addition is
 monotone, so a falling share never raises a sum and no cancellation eats
-a tiny remaining mass.  A draw descends one path, stepping right only
-into positive mass, so it ends on a positive-mass token.
+a tiny remaining mass.  A draw descends one path to a leaf, stepping
+right only into positive mass, so it ends on a positive-mass token.
 
-A node does not own a heap.  Its ``base`` is a whole one, W floats in an
-array (index 0 unused), shared through the trie's one per-run cache: an
-entry per (conditional, mask) pair, the mask None for unswept nodes.  Its
-``overlay`` maps a heap index to a sum recomputed since that base; sum i
-is ``overlay[i]`` when present, else ``base[i]``.  A recomputed sum's
-parent is recomputed too, so the overlay's keys are closed upward, and a
-sum it lacks covers only terms unchanged since the base, so it has the
-base's bits: the bits of a whole heap per node, for log2 W stored sums
-per changed share (path copying: Driscoll, Sarnak, Sleator & Tarjan,
-"Making Data Structures Persistent", 1989).
+A node does not own a heap.  Its base is the tree of ``masked``, the
+trie's one per-run cache entry for its (conditional, mask) pair, the mask
+None until a sweep: leaf t holds P(t|u), or 0 where the mask rules t out.
+Its ``overlay`` maps a heap index to an entry rewritten since: entry i is
+``overlay[i]`` when present, else the base's.  A rewritten entry's parent
+is rewritten too, so the overlay's keys are closed upward, and an entry
+it lacks covers only terms unchanged since the base, so it has the
+base's bits: the bits of a whole heap per node, for log2 W + 1 stored
+floats per changed share (path copying: Driscoll, Sarnak, Sleator &
+Tarjan, "Making Data Structures Persistent", 1989).  A child's token is
+never masked out, so its leaf is the base's times the child's p.
 
 A cache entry also holds its pair's masked conditional, renormalized,
-which gcd draws from; each part is built when first read.  A node swept
-while it had no children and no leaves, that has gained none since, has
-an empty overlay over its pair's tree, so its reweighted conditional is
-that one, and it draws by a bisect of its running sums, as gcd does
-(rsft's root, from its second generation on).  The two inverse CDFs
-round differently, so they can part only for a u within rounding of a
-boundary between two tokens.
+which gcd draws from; each part is built when first read.  A swept node
+with an empty overlay has no children and no leaves but its mask's, so
+its reweighted conditional is its entry's: it bisects that one's running
+sums, as gcd does (rsft's root, from its second generation on).  The two
+inverse CDFs round differently, so they can part only for a u within
+rounding of a boundary between two tokens.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
-along the path.  One walk down checks the path and makes each group's
-tokens leaves; every node from the deepest one changed up to the root
-then recomputes its changed paths and sets p from its root sum (an
-unchanged node keeps p = 1).  A group given as a viability mask sweeps
-its node, so later masks there are skipped.  A sweep of a node that has
-children or leaves rebuilds its tree once, in O(V), with the same sums
-in the same order, as the node's own base under an empty overlay.
+along the path.  One walk down checks the path and applies each group,
+rewriting its new leaves' paths; every node from the deepest one changed
+up to the root then rewrites its path child's leaf and sets p from its
+root sum (an unchanged node keeps p = 1).  A viability mask sweeps its
+node, so later masks there are skipped: the node switches to its
+(conditional, mask) entry under an empty overlay and rewrites the paths
+of its surviving children and of the explicit leaves the mask keeps.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -89,9 +89,12 @@ class MassExhaustedError(RuntimeError):
 #   within this, i.e. the stored p(u) must equal u's kept mass as it
 #   stands now: the tree's total at a draw, the dense sum in
 #   ``reweight_factors``.
+# _CHECK_TOL: ``check_local_consistency``'s bound on a stored p's distance
+#   from the one recomputed densely, bottom-up, from the children's.
 _EDGE_TOL = 1e-12
 _DRIFT = 1e-12
 _SUM_TOL = 1e-8
+_CHECK_TOL = 1e-9
 
 _TINY = 5e-324  # the least positive float: a draw's target when u·p is 0
 
@@ -109,17 +112,15 @@ def _clamped(p: float) -> float:
 
 
 def _tree(terms: np.ndarray) -> array:
-    """The internal sums of the sum tree over ``terms``, padded with zero
-    terms to a power of two, built bottom-up one height at a time by the
-    same additions as ``_repath``."""
+    """The sum tree over ``terms``, padded with zero terms to a power of
+    two W: leaf W + t holds term t, and the sums are built bottom-up one
+    height at a time by the same additions as ``_repath``."""
     width = 1 << (len(terms) - 1).bit_length()
-    heap = np.zeros(width)
-    level = np.zeros(width)
-    level[: len(terms)] = terms
+    heap = np.zeros(2 * width)
+    heap[width : width + len(terms)] = terms
     while width > 1:
-        level = level[0::2] + level[1::2]
+        heap[width >> 1 : width] = heap[width : 2 * width : 2] + heap[width + 1 : 2 * width : 2]
         width >>= 1
-        heap[width : 2 * width] = level
     return array("d", heap.tobytes())
 
 
@@ -148,20 +149,20 @@ class Masked:
 
 class TrieNode:
     """A tracked viable prefix u: ``children`` maps a token t to the node
-    of u·t, and ``base`` and ``overlay`` hold the sum tree of
-    P(a|u)·p(u·a): sum i is ``overlay[i]`` if present, else ``base[i]``."""
+    of u·t, and ``masked.tree`` and ``overlay`` hold the sum tree of
+    P(a|u)·p(u·a): entry i is ``overlay[i]`` if present, else
+    ``masked.tree[i]``."""
 
-    __slots__ = ("base", "children", "dist", "invalid", "mask", "masked", "overlay", "p")
+    __slots__ = ("children", "dist", "invalid", "mask", "masked", "overlay", "p")
 
-    def __init__(self, dist: NextTokenDistribution | None) -> None:
+    def __init__(self, dist: NextTokenDistribution | None, masked: Masked | None) -> None:
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
         self.mask = None  # the viability mask that swept the node
-        self.masked = None  # the cache entry of (dist, mask) when base is its tree
+        self.masked = masked  # the cache entry of (dist, mask), whose tree is the base
         self.p = 1.0
-        self.base = None  # a heap of sums, often shared; set by the first update
-        self.overlay: dict[int, float] = {}  # heap index -> sum recomputed since base
+        self.overlay: dict[int, float] = {}  # heap index -> entry rewritten since base
 
     @property
     def swept(self) -> bool:
@@ -185,18 +186,6 @@ class TrieNode:
             shares[token] = child.p
         return shares
 
-    def term(self, probs: list[float], token: int) -> float:
-        """P(token|u)·share(token), ``probs`` being ``dist``'s list."""
-        child = self.children.get(token)
-        if child is not None:
-            return probs[token] * child.p
-        if token in self.invalid:
-            return 0.0
-        mask = self.mask
-        if mask is not None and not mask[token]:
-            return 0.0
-        return probs[token]
-
     def check(self, dist: NextTokenDistribution, ids: tuple[int, ...]) -> None:
         """Raise unless ``dist`` is this node's conditional, to ``_EDGE_TOL``;
         ``ids``, the node's prefix, names it in the error."""
@@ -213,7 +202,7 @@ class TrieNode:
 
 class InvalidPrefixTrie:
     def __init__(self) -> None:
-        self.root = TrieNode(None)
+        self.root = TrieNode(None, None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
         self._cache: dict = {}  # (id(dist), id(mask)) -> Masked
 
@@ -286,7 +275,6 @@ class InvalidPrefixTrie:
             depth += 1
 
         changed = -1
-        dirty: dict[int, list[int] | None] = {}  # depth -> changed shares; None: all
         for depth in depths:
             if depth > reach:
                 break
@@ -301,15 +289,16 @@ class InvalidPrefixTrie:
                 if depth >= len(nodes) and not invalid:
                     continue
             if not nodes:
-                root.dist = dists[0]
+                root.dist, root.masked = dists[0], self.masked(dists[0], None)
                 nodes.append(root)
             while len(nodes) <= depth:
-                child = nodes[-1].children[path[len(nodes) - 1]] = TrieNode(dists[len(nodes)])
+                dist = dists[len(nodes)]
+                child = TrieNode(dist, self.masked(dist, None))
+                nodes[-1].children[path[len(nodes) - 1]] = child
                 self.n_nodes += 1
                 nodes.append(child)
             node = nodes[depth]
             children, leaves = node.children, node.invalid
-            plain = not children and not leaves
             if sweep:
                 pruned = [t for t in children if not group[t]]
             else:
@@ -318,23 +307,22 @@ class InvalidPrefixTrie:
                 # a longer prefix was inserted earlier; this one dominates it
                 self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
             if sweep:
+                kept = [t for t in leaves if group[t]]  # the caller vouches for these
                 # the mask's False entries that were neither leaves nor
                 # children become leaves
-                fresh = len(group) - int(np.count_nonzero(group)) - len(pruned)
-                if leaves:
-                    fresh -= sum(1 for t in leaves if not group[t])
+                fresh = len(group) - int(np.count_nonzero(group))
+                fresh -= len(pruned) + len(leaves) - len(kept)
                 node.mask = group
-                if fresh or pruned:
-                    if plain:
-                        node.masked = self.masked(node.dist, group)
-                        node.base = node.masked.tree
-                    else:
-                        dirty[depth] = None
+                node.masked = self.masked(node.dist, group)
+                node.overlay = {}
+                for token in [*children, *kept]:
+                    self._repath(node, token)
             else:  # a few tokens, ars's one: a path each
                 new = [t for t in invalid if t not in pruned and not node.is_leaf(t)]
                 if pruned or new:
                     node.invalid = leaves.union(pruned, new)
-                    dirty[depth] = pruned + new
+                    for token in pruned + new:
+                        self._repath(node, token)
                 fresh = len(new)
             if fresh or pruned:
                 self.n_nodes += fresh
@@ -347,18 +335,10 @@ class InvalidPrefixTrie:
         before = root.p
         for depth in range(changed, -1, -1):
             node = nodes[depth]
-            tokens = dirty.get(depth, ())
-            if tokens is None:
-                node.base = _tree(node.dist.probs * node.shares())
-                node.overlay = {}
-            else:
-                if node.base is None:
-                    node.base = self.masked(node.dist, None).tree
-                for token in tokens:
-                    self._repath(node, token)
-                if depth < changed:
-                    self._repath(node, path[depth])  # the child's p changed
-            node.p = _clamped(node.overlay.get(1, node.base[1]))
+            if depth < changed:
+                self._repath(node, path[depth])  # the child's p changed
+            over = node.overlay
+            node.p = _clamped(over[1] if 1 in over else node.masked.tree[1])
         return before - root.p
 
     def masked(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> Masked:
@@ -370,16 +350,15 @@ class InvalidPrefixTrie:
         return entry
 
     def _repath(self, node: TrieNode, token: int) -> None:
-        """Recompute the sums on ``token``'s path, bottom-up, into the
-        node's overlay; each is its children's sum, and float addition
-        commutes, so adding the sibling to the path's sum gives left +
-        right bit for bit."""
-        base, over = node.base, node.overlay
-        probs = node.dist.draw_tables[0]
-        t = token & ~1  # the left leaf of token's pair
-        right = node.term(probs, t + 1) if t + 1 < len(probs) else 0.0
-        i = (len(base) + t) >> 1
-        s = over[i] = node.term(probs, t) + right
+        """Rewrite the leaf of ``token``, a child's or an explicit leaf's,
+        and recompute the sums above it, bottom-up, into the node's
+        overlay; each is its children's sum, and float addition commutes,
+        so adding the sibling to the path's sum gives left + right bit for
+        bit."""
+        base, over = node.masked.tree, node.overlay
+        i = (len(base) >> 1) + token
+        child = node.children.get(token)
+        s = over[i] = base[i] * child.p if child is not None else 0.0
         while i > 1:
             sibling = i ^ 1
             i >>= 1
@@ -389,14 +368,14 @@ class InvalidPrefixTrie:
         self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...], u: float
     ) -> int:
         """Inverse-CDF draw from the reweighted conditional at the tracked
-        node of prefix ``ids``, by one descent of its sum tree: the first
-        positive-mass token whose running sum reaches u·p, the lower id on
-        a tie.  The descent steps right only into positive mass, so on a
-        floating shortfall it ends on the last positive-mass token of the
-        subtree it fell short in.
+        node of prefix ``ids``, by one descent of its sum tree to a leaf:
+        the first positive-mass token whose running sum reaches u·p, the
+        lower id on a tie.  The descent steps right only into positive
+        mass, so on a floating shortfall it ends on the last positive-mass
+        token of the subtree it fell short in.
 
-        A swept node with an empty overlay still has its mask's tree, so its
-        reweighted conditional is ``masked(dist, mask).table``: it bisects that.
+        A swept node with an empty overlay has its entry's tree, so its
+        reweighted conditional is ``masked.table``: it bisects that.
 
         ``dist`` must be the node's conditional; the tree's total must equal
         the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
@@ -407,44 +386,38 @@ class InvalidPrefixTrie:
         p = node.p
         if p <= 0.0:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
-        base, over = node.base, node.overlay
+        masked, over = node.masked, node.overlay
+        base = masked.tree
         total = over[1] if 1 in over else base[1]
         if abs(total - p) > _SUM_TOL * p:
             raise TrieCorruptionError(
                 f"reweighted conditional after prefix {ids} sums to {total / p!r}; "
                 "bookkeeping corrupt"
             )
-        if not over and node.masked is not None:
-            probs, cum = node.masked.table.draw_tables
+        if not over and masked.mask is not None:
+            probs, cum = masked.table.draw_tables
             return draw_index(probs, cum, u)
-        width = len(base)
-        half = width >> 1
+        width = len(base) >> 1
         # acc < target throughout, so every subtree entered holds mass: a
         # left one reaches target or has a massless sibling, a right one is
-        # tested.  The overlay's keys are closed upward, so below a sum it
-        # lacks every sum is the base's.
+        # tested.  The overlay's keys are closed upward, so below an entry
+        # it lacks every entry is the base's.
         target = u * p or _TINY
         acc = 0.0
         k = 1
-        while k < half and k in over:
+        while k < width and k in over:
             k <<= 1
             s = acc + (over[k] if k in over else base[k])
             if s < target and (over[k + 1] if k + 1 in over else base[k + 1]) > 0.0:
                 acc = s
                 k += 1
-        while k < half:
+        while k < width:
             k <<= 1
             s = acc + base[k]
             if s < target and base[k + 1] > 0.0:
                 acc = s
                 k += 1
-        probs = node.dist.draw_tables[0]
-        token = (k << 1) - width
-        if acc + node.term(probs, token) >= target:
-            return token
-        if token + 1 < len(probs) and node.term(probs, token + 1) > 0.0:
-            return token + 1
-        return token
+        return k - width
 
     def _find(self, ids: tuple[int, ...]) -> TrieNode | float:
         """The tracked node of ``ids``, else its p: 0 when a leaf covers
@@ -516,21 +489,26 @@ class InvalidPrefixTrie:
         """The invalid prefixes, depth-first in token order."""
         return [ids for ids, node in self._walk(self.root) if node is None]
 
-    def check_local_consistency(self, tol: float = 1e-9) -> None:
-        """Debug mode: check that every node's overlay keys are closed
-        upward, rebuild every node's sum tree from its shares, which must
-        give its base overlaid with its overlay bit for bit, and recompute
-        every p bottom-up from the children's recomputed values, not from
-        the stored shares, and compare against the incrementally
-        maintained values."""
+    def check_local_consistency(self) -> None:
+        """Debug mode: check that every node's base is the tree of the
+        trie's cache entry for its (conditional, mask) pair and its overlay
+        keys are closed upward, rebuild every node's sum tree from its
+        shares, which must give its base overlaid with its overlay bit for
+        bit, and recompute every p bottom-up from the children's recomputed
+        values, not from the stored shares, and compare against the
+        incrementally maintained values to ``_CHECK_TOL``."""
 
         def recompute(ids: tuple[int, ...], node: TrieNode) -> float:
             fresh = 1.0
             if node.dist is not None:
+                if node.masked is not self._cache.get((id(node.dist), id(node.mask))):
+                    raise TrieCorruptionError(
+                        f"node {ids}: base is not the cache entry of its conditional and mask"
+                    )
                 shares = node.shares()
                 want = _tree(node.dist.probs * shares)
                 over = node.overlay
-                tree = array("d", node.base or ())
+                tree = node.masked.tree[:]
                 for k, s in over.items():
                     if not 0 < k < len(tree) or (k > 1 and k >> 1 not in over):
                         raise TrieCorruptionError(
@@ -544,7 +522,7 @@ class InvalidPrefixTrie:
                 for token, child in node.children.items():
                     shares[token] = recompute(ids + (token,), child)
                 fresh = float((node.dist.probs * shares).sum())
-            if abs(fresh - node.p) > tol:
+            if abs(fresh - node.p) > _CHECK_TOL:
                 raise TrieCorruptionError(
                     f"node {ids}: stored p {node.p!r} vs recomputed {fresh!r}"
                 )

@@ -27,6 +27,9 @@ DFA_V1024_DIGEST = "92c58498ddc5b6e1fba4d14e01ee0f4ca380396588a55b5d4c5da0af9844
 # sampled, which a change to the order of the trie's sums must not move
 # where the p_eps bits may
 DFA_V1024_SAMPLES_DIGEST = "a2f595a090a18f0696c95a4a26ff8c6d797699a8e60466c4cb7c845d79265e39"
+# the same episodes' final trie dumps: every tracked node's p and every
+# leaf, where DFA_V1024_DIGEST reaches only the root's p
+DFA_V1024_TRIE_DIGEST = "5ee991cbd92d5489452987d5d5d3e22db59a15b586b8cb898263cbd0dbdbc6f8"
 
 
 def _episode(workload, method, tracer=None):
@@ -70,14 +73,18 @@ def test_dfa_v1024_output_bits():
     workload = WORKLOADS["dfa-v1024"]()
     h = hashlib.sha256()
     samples = hashlib.sha256()
+    dumps = hashlib.sha256()
     for method in ("ars", "rsft", "cars"):
         lm, checker = workload.build()
         cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * TARGET)
-        stream, metrics = run(lm, checker, cfg, TARGET)
+        tries = []
+        stream, metrics = run(lm, checker, cfg, TARGET, trie_hook=lambda _, trie: tries.append(trie))
         ids = [w.ids for w in stream]
         assert len(ids) == TARGET
+        dumps.update(f"{method}\n{tries[-1].dump()}".encode())
         h.update(f"{method}\n{ids!r}\n{metrics.p_eps_trajectory!r}\n".encode())
         h.update(f"{metrics.generations}\n".encode())
         samples.update(f"{method}\n{ids!r}\n{metrics.generations}\n".encode())
     assert samples.hexdigest() == DFA_V1024_SAMPLES_DIGEST
     assert h.hexdigest() == DFA_V1024_DIGEST
+    assert dumps.hexdigest() == DFA_V1024_TRIE_DIGEST

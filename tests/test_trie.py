@@ -16,7 +16,7 @@ from exsample import (
 )
 from exsample.lm import NextTokenDistribution, TableLM, draw_index, sequence_probability
 from exsample.oracle import exact_p
-from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, _clamped
+from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, Masked, _clamped, _tree
 from exsample.vocab import Vocabulary
 from conftest import step_dists
 
@@ -422,7 +422,7 @@ def test_draw_matches_reweight_factors(arith_lm):
 
 def _effective_tree(node):
     """The bytes of a node's sum tree: its base with its overlay applied."""
-    tree = node.base[:]
+    tree = node.masked.tree[:]
     for k, s in node.overlay.items():
         tree[k] = s
     return tree.tobytes()
@@ -475,6 +475,44 @@ def test_draw_at_any_vocabulary_size(size):
             last = np.flatnonzero(weights)[-1]
             assert trie.draw(node, node.dist, prefix, 1.0 - 2.0**-53) == last
             node.p = p
+
+
+class _NoListTables(NextTokenDistribution):
+    """A conditional whose list tables must not be read."""
+
+    __slots__ = ()
+
+    @property
+    def draw_tables(self):
+        raise AssertionError("the trie read a conditional's list tables")
+
+
+@pytest.mark.parametrize("size", [8, 1024])
+def test_token_groups_need_no_list_tables(size):
+    """Under ars-style token groups the trie reads a conditional only as
+    an array: with conditionals whose list tables raise, every update
+    succeeds, and every descent draw matches ``reweight_factors``."""
+    rng = np.random.default_rng(size)
+    dists = {}
+
+    def dist_at(ids):
+        if ids not in dists:
+            dists[ids] = _NoListTables(rng.dirichlet(np.ones(size)))
+        return dists[ids]
+
+    trie = InvalidPrefixTrie()
+    grid = np.linspace(0, 1, 41)
+    for _ in range(12):
+        # tokens 0 and 1 are never invalid, so every node keeps mass and
+        # nodes under token 1 are never pruned
+        path = tuple(int(t) for t in rng.integers(1, 4, size=int(rng.integers(0, 4))))
+        group = [int(t) for t in rng.integers(2, size, size=int(rng.integers(1, 4)))]
+        steps = [dist_at(path[:d]) for d in range(len(path) + 1)]
+        trie.update(path, steps, {int(rng.integers(0, len(path) + 1)): group})
+        for prefix, node in trie.nodes():
+            _assert_draws_match(trie, node, node.dist, prefix, grid)
+    assert len(list(trie.nodes())) > 2  # draws ran below the root too
+    trie.check_local_consistency()
 
 
 def test_draw_short_inside_a_subtree_stays_on_positive_mass():
@@ -583,11 +621,11 @@ def test_consistency_check_compares_sum_trees_bit_for_bit(arith_lm):
 
 
 def test_consistency_check_needs_overlay_keys_closed_upward():
-    """Token 1 has no mass, so making it a leaf recomputes sums 4, 2 and 1
-    to their base bits.  With sum 2 dropped from the overlay the effective
-    tree is still bit for bit the one the shares give, but sum 4 is
-    orphaned, and a descent that leaves the overlay at 2 would never read
-    it: the check must name the node."""
+    """Token 1 has no mass, so making it a leaf rewrites its leaf, 9, and
+    recomputes sums 4, 2 and 1, all to their base bits.  With sum 2
+    dropped from the overlay the effective tree is still bit for bit the
+    one the shares give, but sum 4 is orphaned, and a descent that leaves
+    the overlay at 2 would never read it: the check must name the node."""
     probs = [0.2, 0.0, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1]
     vocab = Vocabulary.from_tokens([f"t{i}" for i in range(7)] + ["$"], eos=7)
     lm = TableLM(vocab, {}, probs, 3)
@@ -596,20 +634,38 @@ def test_consistency_check_needs_overlay_keys_closed_upward():
     trie.update((), [dist], {0: [1]})
     trie.update((0,), [dist, dist], {1: [1]})
     node = trie.root.children[0]
-    assert sorted(node.overlay) == [1, 2, 4]
+    assert sorted(node.overlay) == [1, 2, 4, 9]
     trie.check_local_consistency()
-    assert node.overlay.pop(2) == node.base[2]
+    assert node.overlay.pop(2) == node.masked.tree[2]
     with pytest.raises(TrieCorruptionError, match=r"node \(0,\): overlay sum 4 .*lacks its parent"):
         trie.check_local_consistency()
+
+
+def test_consistency_check_needs_the_cache_entry(arith_lm):
+    """A node's base must be the trie's own cache entry for its
+    (conditional, mask) pair: another pair's entry fails the check, and so
+    does an entry of the same pair that the cache does not hold, though
+    its tree has the right bits.  The check names the node and adds no
+    entry to the cache."""
+    trie, _ = build(arith_lm, CARS_INSERTS)
+    trie.check_local_consistency()
+    node = trie.root.children[0]
+    for entry in (trie.root.masked, Masked(node.dist, node.mask)):
+        node.masked = entry
+        entries = len(trie._cache)
+        with pytest.raises(TrieCorruptionError, match=r"node \(0,\): base is not the cache entry"):
+            trie.check_local_consistency()
+        assert len(trie._cache) == entries
 
 
 @pytest.mark.parametrize("method", ["ars", "cars"])
 def test_v1024_nodes_share_base_trees(method):
     """After a seed-1 episode of 20 accepts on dfa-v1024, every tracked
-    node shares the base tree of its (conditional, mask) pair and
-    overlays only the paths of the shares changed since: at most log2 W
-    sums per child and explicit leaf, and under 5% of a full W-float tree
-    per node over the whole trie."""
+    node's base is the tree of the trie's cache entry for its
+    (conditional, mask) pair, shared by every node of that pair, and it
+    overlays only the paths of the shares changed since: at most
+    log2 W + 1 entries, a leaf and its sums, per child and explicit leaf,
+    and under 5% of W floats per node over the whole trie."""
     lm, checker = _bench_workload("dfa-v1024").build()
     tries = []
     cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * 20)
@@ -618,12 +674,15 @@ def test_v1024_nodes_share_base_trees(method):
     trie = tries[-1]
     trie.check_local_consistency()
     nodes = [node for _, node in trie.nodes()]
-    width = len(nodes[0].base)
+    width = len(nodes[0].masked.tree) // 2
     assert width == 1024
     bases = {}
     for node in nodes:
-        assert bases.setdefault((id(node.dist), id(node.mask)), node.base) is node.base
-        bound = (len(node.children) + len(node.invalid)) * (width.bit_length() - 1)
+        key = (id(node.dist), id(node.mask))
+        assert node.masked is trie._cache[key]
+        tree = node.masked.tree
+        assert bases.setdefault(key, tree) is tree
+        bound = (len(node.children) + len(node.invalid)) * width.bit_length()
         assert len(node.overlay) <= bound
     assert len(bases) < len(nodes)
     assert sum(len(node.overlay) for node in nodes) <= 0.05 * len(nodes) * width
@@ -651,7 +710,7 @@ def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
     trie = _episode_trie(workload, "rsft")
     root = trie.root
     assert root.swept and not root.children and not root.invalid and not root.overlay
-    assert root.masked is not None and root.base is root.masked.tree
+    assert root.masked is trie.masked(root.dist, root.mask)
     probs = trie.reweight_factors((), root.dist)
     probs_list, cum = probs.tolist(), np.cumsum(probs).tolist()
     flat = []
@@ -674,7 +733,8 @@ def _plain_swept(size=8):
     trie = InvalidPrefixTrie()
     trie.update((0,), [dist, dist], {1: mask})
     node = trie.root.children[0]
-    assert node.swept and not node.children and not node.overlay and node.masked is not None
+    assert node.swept and not node.children and not node.overlay
+    assert node.masked is trie.masked(dist, mask)
     return dist, trie
 
 
@@ -700,6 +760,40 @@ def test_swept_node_that_gains_a_child_draws_by_descent(monkeypatch):
 
     monkeypatch.setattr(trie_mod, "draw_index", refuse)
     _assert_draws_match(trie, node, dist, (0,), grid)
+
+
+def test_sweep_rewrites_only_the_survivors_paths():
+    """Sweeping a node that has a tracked child (1), a child the mask
+    prunes (4), an explicit leaf the mask rules out too (5) and one it
+    keeps (6, which the caller vouches for) switches the node's base to
+    the trie's entry for (conditional, mask) and overlays exactly the
+    paths of the surviving child and the kept leaf; its p is the root sum
+    of the tree its shares give, bit for bit, and its draws match the
+    referee."""
+    size = 8
+    probs = np.linspace(1.0, 2.0, size)
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
+    dist = TableLM(vocab, {}, probs, 4).next_distribution(vocab.empty())
+    trie = InvalidPrefixTrie()
+    trie.update((1,), [dist, dist], {1: [2]})
+    trie.update((4,), [dist, dist], {1: [3]})
+    trie.update((), [dist], {0: [5, 6]})
+    mask = np.ones(size, dtype=bool)
+    mask[[0, 4, 5]] = False
+    trie.update((), [dist], {0: mask})
+    node = trie.root
+    assert list(node.children) == [1] and node.invalid == {5, 6}
+    assert node.masked is trie.masked(dist, mask)
+
+    def path(token):  # the heap indices of a leaf and the sums above it
+        i = len(node.masked.tree) // 2 + token
+        return {i >> h for h in range(i.bit_length())}
+
+    assert set(node.overlay) == path(1) | path(6)
+    assert node.p == _tree(dist.probs * node.shares())[1]
+    trie.check_local_consistency()
+    grid = np.append(_token_grid(trie.reweight_factors((), dist)), np.linspace(0, 1, 201))
+    _assert_draws_match(trie, node, dist, (), grid)
 
 
 def test_flat_draw_keeps_the_invariant_checks():
@@ -751,7 +845,7 @@ def test_cars_builds_tables_only_for_flat_draws(monkeypatch):
         draw = trie.draw
 
         def recorded(node, dist, ids, u):
-            if node.masked is not None and not node.overlay:
+            if not node.overlay and node.masked.mask is not None:
                 drawn[id(node.masked)] = node.masked
             return draw(node, dist, ids, u)
 
@@ -865,7 +959,7 @@ def test_interleaved_inserts_stay_consistent(lm_seed, n_inserts, pyrng):
             assert removed == 0.0
         assert trie.p_eps <= last_root
         last_root = trie.p_eps
-        trie.check_local_consistency(tol=1e-9)
+        trie.check_local_consistency()
         want = exact_p((), trie.leaves(), table)
         assert trie.p_eps == pytest.approx(want, abs=1e-9)
 
