@@ -396,8 +396,9 @@ def _token_table(dfa: DfaConstraint, vocab: Vocabulary) -> np.ndarray:
     # delta[s * (pad + 1) + b]: the state after byte b from state s
     delta = np.full((n + 1, pad + 1), n, dtype=np.intp)
     delta[:n, pad] = np.arange(n)
-    src, byte = zip(*dfa.transitions)
-    delta[src, byte] = list(dfa.transitions.values())
+    if dfa.transitions:  # none over an empty alphabet
+        src, byte = zip(*dfa.transitions)
+        delta[src, byte] = list(dfa.transitions.values())
     delta = delta.ravel()
     state = np.repeat(np.arange(n)[:, None], size, axis=1)
     for column in padded:

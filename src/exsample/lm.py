@@ -17,7 +17,7 @@ import urllib.error
 import urllib.request
 import warnings
 from abc import ABC, abstractmethod
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -44,7 +44,7 @@ _SUM_HARD = 1e-3
 class NextTokenDistribution:
     """One conditional P(.|u) over the full vocabulary, renormalized on build."""
 
-    __slots__ = ("probs", "_draw_tables")
+    __slots__ = ("probs", "_cdf")
 
     def __init__(self, probs) -> None:
         arr = np.asarray(probs, dtype=np.float64)
@@ -60,17 +60,16 @@ class NextTokenDistribution:
         arr = arr / total
         arr.flags.writeable = False
         self.probs = arr
-        self._draw_tables = None
+        self._cdf = None
 
     @property
-    def draw_tables(self) -> tuple[list[float], list[float]]:
-        """``probs`` and its running sums as Python lists, cached for
-        inverse-CDF draws: bisecting a list is several times faster than
-        searching an array, and the trie's sum trees read single entries
-        of ``probs`` from the first list."""
-        if self._draw_tables is None:
-            self._draw_tables = (self.probs.tolist(), np.cumsum(self.probs).tolist())
-        return self._draw_tables
+    def cdf(self) -> list[float]:
+        """The running sums of ``probs`` as a Python list, cached: the
+        table of ``draw_index``, as bisecting a list is several times
+        faster than searching an array."""
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.probs).tolist()
+        return self._cdf
 
     def __getitem__(self, token: int) -> float:
         return float(self.probs[token])
@@ -79,19 +78,16 @@ class NextTokenDistribution:
         return len(self.probs)
 
 
-def draw_index(probs: list[float], cum: list[float], u: float) -> int:
-    """Inverse-CDF draw: the smallest positive-mass index i with cum[i] >= u,
-    ``probs`` and ``cum`` being a conditional's ``draw_tables``."""
-    n = len(probs)
-    i = bisect_left(cum, u)
-    if i >= n:  # u above the accumulated total (floating shortfall)
-        i = n - 1
-        while probs[i] <= 0.0:
-            i -= 1
-        return i
-    while probs[i] <= 0.0:  # u == a boundary shared with zero-mass entries
-        i += 1
-    return i
+def draw_index(cdf: list[float], u: float) -> int:
+    """Inverse-CDF draw over running sums ``cdf``: the first index whose
+    running sum reaches u, or exceeds 0 for u = 0.  A sum reaches a target
+    its predecessor's did not only if its own term is positive, so the
+    index has positive mass.  A u above the total (a floating shortfall)
+    draws the first index whose running sum reaches the total."""
+    if u > 0.0:
+        i = bisect_left(cdf, u)
+        return i if i < len(cdf) else bisect_left(cdf, cdf[-1])
+    return bisect_right(cdf, 0.0)
 
 
 class LanguageModel(ABC):

@@ -138,9 +138,9 @@ def _draw(
 ) -> SampleTrace:
     """The per-token loop of every method: draw one terminated sequence,
     one ``rng.random()`` per emitted token.  A tracked trie node draws from
-    the trie's reweighted conditional, an untracked one from the model's;
-    gcd (``masked``) draws from the model masked by the step's viability
-    mask and renormalized, from the trie's cache (``InvalidPrefixTrie.masked``).
+    the trie's reweighted conditional, an untracked one by ``draw_index``
+    over the model's running sums, gcd (``masked``) over those of the step's
+    masked, renormalized conditional (``InvalidPrefixTrie.masked``).
 
     Viability masks are recorded while the growing prefix remains viable;
     once it leaves the viable set, everything below is already covered by
@@ -165,20 +165,18 @@ def _draw(
         if viable:
             mask = checker.viability_mask(prefix)
             masks.append(mask)
-        if masked:  # gcd: draw from the masked conditional instead
-            dist = trie.masked(dist, mask).table
-            if dist is None:
+        if node is not None:
+            token = trie.draw(node, dist, prefix.ids, random())
+        else:
+            cdf = trie.masked(dist, mask).cdf if masked else dist.cdf
+            if cdf is None:
                 if len(ids) == cfg.max_len:
                     # horizon dead end: eos forced but not a member here
                     return SampleTrace(prefix, False, tuple(dists), tuple(masks))
                 raise RuntimeError(
                     "every token masked at a viable prefix; checker is inconsistent"
                 )
-        if node is not None:
-            token = trie.draw(node, dist, prefix.ids, random())
-        else:
-            probs, cum = dist.draw_tables
-            token = draw_index(probs, cum, random())
+            token = draw_index(cdf, random())
         ids.append(token)
         if viable and not mask[token]:
             viable = False

@@ -37,13 +37,13 @@ floats per changed share (path copying: Driscoll, Sarnak, Sleator &
 Tarjan, "Making Data Structures Persistent", 1989).  A child's token is
 never masked out, so its leaf is the base's times the child's p.
 
-A cache entry also holds its pair's masked conditional, renormalized,
-which gcd draws from; each part is built when first read.  A swept node
-with an empty overlay has no children and no leaves but its mask's, so
-its reweighted conditional is its entry's: it bisects that one's running
-sums, as gcd does (rsft's root, from its second generation on).  The two
-inverse CDFs round differently, so they can part only for a u within
-rounding of a boundary between two tokens.
+A cache entry also holds the running sums of its pair's masked
+conditional, renormalized, which gcd draws from; each part is built when
+first read.  A swept node with an empty overlay has no children and no
+leaves but its mask's, so its reweighted conditional is its entry's: it
+bisects those running sums, as gcd does (rsft's root, from its second
+generation on).  The two inverse CDFs round differently, so they can part
+only for a u within rounding of a boundary between two tokens.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
@@ -130,8 +130,8 @@ _NO_LEAVES: frozenset[int] = frozenset()
 class Masked:
     """A trie's cache entry for (``dist``, ``mask``), holding both so neither
     id in its key is reused: dist.probs·mask's sum ``tree`` (``mask`` None:
-    unmasked) and its renormalized ``table`` (None when no mass is left),
-    each built when first read."""
+    unmasked) and the running sums ``cdf`` of its renormalization (None
+    when no mass is left), each built when first read."""
 
     def __init__(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> None:
         self.dist = dist
@@ -142,9 +142,10 @@ class Masked:
         return _tree(self.dist.probs if self.mask is None else self.dist.probs * self.mask)
 
     @cached_property
-    def table(self) -> NextTokenDistribution | None:
+    def cdf(self) -> list[float] | None:
         terms = self.dist.probs * self.mask
-        return NextTokenDistribution(terms) if terms.any() else None
+        total = float(terms.sum())  # divided as NextTokenDistribution does
+        return np.cumsum(terms / total).tolist() if total > 0.0 else None
 
 
 class TrieNode:
@@ -375,7 +376,7 @@ class InvalidPrefixTrie:
         token of the subtree it fell short in.
 
         A swept node with an empty overlay has its entry's tree, so its
-        reweighted conditional is ``masked.table``: it bisects that.
+        reweighted conditional is its entry's: it bisects ``masked.cdf``.
 
         ``dist`` must be the node's conditional; the tree's total must equal
         the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
@@ -395,8 +396,7 @@ class InvalidPrefixTrie:
                 "bookkeeping corrupt"
             )
         if not over and masked.mask is not None:
-            probs, cum = masked.table.draw_tables
-            return draw_index(probs, cum, u)
+            return draw_index(masked.cdf, u)
         width = len(base) >> 1
         # acc < target throughout, so every subtree entered holds mass: a
         # left one reaches target or has a massless sibling, a right one is

@@ -138,6 +138,21 @@ def test_dfa_alphabet_error_names_the_first_token_and_byte(tokens, eos, message)
         DfaChecker(_pairs_dfa(), vocab)
 
 
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: load_dfa('alphabet ""\nstart 0\naccept 0\n'), id="loaded"),
+        pytest.param(lambda: make_dfa(1, 0, [0], b"", {}), id="made"),
+    ],
+)
+def test_dfa_with_an_empty_alphabet_names_the_first_token(build):
+    """An automaton with no alphabet has no transitions; every non-eos
+    surface byte lies outside it, and the error names the first."""
+    with pytest.raises(ValueError, match=r"^token 0 surface byte b'0' outside the DFA alphabet$"):
+        DfaChecker(build(), VOCAB)
+
+
 @pytest.mark.parametrize(
     "alphabet, transitions, message",
     [

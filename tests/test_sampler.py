@@ -613,7 +613,7 @@ def _gcd_instance(name, arith_lm, arith_checker):
 
 @pytest.mark.parametrize("instance", ["arith", "dfa"])
 def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith_checker):
-    """gcd's cached draw tables give the same tokens as renormalizing
+    """gcd's cached running sums give the same tokens as renormalizing
     ``dist.probs * mask`` afresh at every step with ``np.cumsum``, fed the
     same uniforms, when one trie's cache serves many samples."""
     lm, checker = _gcd_instance(instance, arith_lm, arith_checker)
@@ -631,7 +631,7 @@ def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith
                 assert len(ref_ids) == lm.max_len and not trace.tokens.terminated
                 break
             probs = allowed / allowed.sum()
-            token = draw_index(probs, np.cumsum(probs), ref_rng.random())
+            token = draw_index(np.cumsum(probs).tolist(), ref_rng.random())
             ref_ids.append(token)
             if token == lm.vocab.eos:
                 break
@@ -644,6 +644,8 @@ def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith
 
 
 def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
+    from functools import cached_property
+
     import exsample.trie as trie_mod
     from exsample.lm import TableLM
 
@@ -655,11 +657,15 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
     trie = InvalidPrefixTrie()
     built = []
 
-    def counted(probs):
-        built.append(probs)
-        return NextTokenDistribution(probs)
+    plain = trie_mod.Masked.cdf.func
 
-    monkeypatch.setattr(trie_mod, "NextTokenDistribution", counted)
+    def counted(entry):
+        built.append(entry)
+        return plain(entry)
+
+    cdf = cached_property(counted)
+    cdf.__set_name__(trie_mod.Masked, "cdf")
+    monkeypatch.setattr(trie_mod.Masked, "cdf", cdf)
     for i in range(3):  # the dead-end entry is served from the cache after the first
         trace = gcd_sample(lm, checker, trie, cfg, rng)
         assert trace.tokens == Sequence((0, 0), False)
@@ -668,12 +674,12 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
         assert trace.step_dists[-1] is lm.next_distribution(Sequence((0, 0), False))
         if i == 0:
             entries = dict(trie._cache)
-            # the horizon's eos point mass masked to nothing: a None table, cached
-            dead = [entry for entry in entries.values() if entry.table is None]
+            # the horizon's eos point mass masked to nothing: a None cdf, cached
+            dead = [entry for entry in entries.values() if entry.cdf is None]
             assert len(dead) == 1 and dead[0].dist is trace.step_dists[-1]
             first = len(built)
         assert trie._cache == entries  # the same entry objects, nothing added
-        assert len(built) == first  # and no table rebuilt
+        assert len(built) == first  # and no running sums recomputed
 
 
 def test_gcd_exact_methods_beat_it_on_kl(arith_lm, arith_checker):

@@ -478,19 +478,19 @@ def test_draw_at_any_vocabulary_size(size):
 
 
 class _NoListTables(NextTokenDistribution):
-    """A conditional whose list tables must not be read."""
+    """A conditional whose list of running sums must not be read."""
 
     __slots__ = ()
 
     @property
-    def draw_tables(self):
-        raise AssertionError("the trie read a conditional's list tables")
+    def cdf(self):
+        raise AssertionError("the trie read a conditional's list of running sums")
 
 
 @pytest.mark.parametrize("size", [8, 1024])
 def test_token_groups_need_no_list_tables(size):
     """Under ars-style token groups the trie reads a conditional only as
-    an array: with conditionals whose list tables raise, every update
+    an array: with conditionals whose running-sum lists raise, every update
     succeeds, and every descent draw matches ``reweight_factors``."""
     rng = np.random.default_rng(size)
     dists = {}
@@ -703,7 +703,7 @@ def _episode_trie(workload, method, accepts=20):
 def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
     """After a seed-1 rsft episode the root is swept, with no children or
     other leaves and an empty overlay, so ``draw`` bisects the masked
-    conditional's table: for 20 000 uniforms it gives the token that
+    conditional's running sums: for 20 000 uniforms it gives the token that
     ``draw_index`` gives over the running sums of ``reweight_factors``."""
     import exsample.trie as trie_mod
 
@@ -712,11 +712,11 @@ def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
     assert root.swept and not root.children and not root.invalid and not root.overlay
     assert root.masked is trie.masked(root.dist, root.mask)
     probs = trie.reweight_factors((), root.dist)
-    probs_list, cum = probs.tolist(), np.cumsum(probs).tolist()
+    cdf = np.cumsum(probs).tolist()
     flat = []
     monkeypatch.setattr(trie_mod, "draw_index", lambda *args: flat.append(1) or draw_index(*args))
     for u in np.random.default_rng(21).random(20000).tolist() + [0.0, 1.0 - 2.0**-53]:
-        assert trie.draw(root, root.dist, (), u) == draw_index(probs_list, cum, u), u
+        assert trie.draw(root, root.dist, (), u) == draw_index(cdf, u), u
     assert len(flat) == 20002  # every draw took the bisect
     trie.check_local_consistency()
 
@@ -739,7 +739,7 @@ def _plain_swept(size=8):
 
 
 def test_swept_node_that_gains_a_child_draws_by_descent(monkeypatch):
-    """A plain swept node bisects its masked table until it gains a child;
+    """A plain swept node bisects its masked running sums until it gains a child;
     from then on its overlay is not empty and it descends its tree, still
     matching the referee, and the trie stays consistent."""
     import exsample.trie as trie_mod
@@ -756,7 +756,7 @@ def test_swept_node_that_gains_a_child_draws_by_descent(monkeypatch):
     trie.check_local_consistency()
 
     def refuse(*args):
-        raise AssertionError("a node with a child drew from its masked table")
+        raise AssertionError("a node with a child drew from its masked running sums")
 
     monkeypatch.setattr(trie_mod, "draw_index", refuse)
     _assert_draws_match(trie, node, dist, (0,), grid)
@@ -815,26 +815,27 @@ def test_flat_draw_keeps_the_invariant_checks():
 
 
 def _built(trie, part):
-    """The cache entries of ``trie`` whose ``part`` (tree or table) was built."""
+    """The cache entries of ``trie`` whose ``part`` (tree or cdf) was built."""
     return [entry for entry in trie._cache.values() if part in vars(entry)]
 
 
 @pytest.mark.parametrize("workload", ["arith", "dfa-v1024"])
 def test_cache_builds_only_what_is_read(workload):
-    """Each view of a cache entry is built on first use: gcd reads tables
-    and no sum tree, rsft builds one table, the root's."""
+    """Each view of a cache entry is built on first use: gcd reads running
+    sums and no sum tree, rsft builds one list of running sums, the
+    root's."""
     trie = _episode_trie(workload, "gcd")
-    assert _built(trie, "table") and not _built(trie, "tree")
+    assert _built(trie, "cdf") and not _built(trie, "tree")
     trie = _episode_trie(workload, "rsft")
     root = trie.root
-    assert _built(trie, "table") == [root.masked]
+    assert _built(trie, "cdf") == [root.masked]
     assert root.masked.dist is root.dist and root.masked.mask is root.mask
 
 
 def test_cars_builds_tables_only_for_flat_draws(monkeypatch):
-    """A 20-accept cars episode on dfa-v1024 builds the masked table of
-    exactly the (conditional, mask) pairs that a plain swept node drew
-    from, no more tables than swept pairs with a tree."""
+    """A 20-accept cars episode on dfa-v1024 builds the masked running
+    sums of exactly the (conditional, mask) pairs that a plain swept node
+    drew from, for no more pairs than swept pairs with a tree."""
     import exsample.sampler as sampler_mod
 
     drawn = {}
@@ -854,7 +855,7 @@ def test_cars_builds_tables_only_for_flat_draws(monkeypatch):
 
     monkeypatch.setattr(sampler_mod, "InvalidPrefixTrie", watched)
     trie = _episode_trie("dfa-v1024", "cars")
-    built = _built(trie, "table")
+    built = _built(trie, "cdf")
     assert built and {id(entry) for entry in built} == set(drawn)
     assert all(entry.mask is not None for entry in built)
     assert len(built) <= len(_built(trie, "tree"))

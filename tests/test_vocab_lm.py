@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exsample import Sequence, enumerate_lm, load_table_lm
 from exsample.cli import ExperimentConfig, load_lm
@@ -16,6 +17,7 @@ from exsample.lm import (
     NextTokenDistribution,
     TableLM,
     TerminatedPrefixError,
+    draw_index,
     ngram_lm_from_doc,
     sequence_probability,
     table_lm_from_doc,
@@ -131,13 +133,78 @@ def test_encode_matches_the_scan_over_every_token(case):
 def test_distribution_renormalizes_and_validates():
     d = NextTokenDistribution([2.0, 2.0])
     assert d[0] == 0.5 and abs(sum(d.probs) - 1) < 1e-9
-    assert d.draw_tables[1][-1] == pytest.approx(1.0)
+    assert d.cdf[-1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         NextTokenDistribution([0.5, -0.1])
     with pytest.raises(ValueError):
         NextTokenDistribution([0.0, 0.0])
     with pytest.raises(ValueError):
         NextTokenDistribution([0.5, float("nan")])
+
+
+def _draw_by_scan(probs, cdf, u):
+    """Referee of ``draw_index``: the first positive-mass index whose
+    running sum reaches min(u, total), by a scan."""
+    target = min(u, cdf[-1])
+    return next(i for i, (p, c) in enumerate(zip(probs, cdf)) if p > 0.0 and c >= target)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.0, 0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0],  # zeros first, between, last
+        [0.0, 0.125, 0.0, 0.0, 0.25, 0.125],  # total 0.5: every u above it too
+        [1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.1] * 10,  # inexact running sums
+    ],
+)
+def test_draw_index_matches_a_scan_on_every_boundary(probs):
+    """u = 0, every running sum and its neighbouring floats, and u above
+    the total draw the referee's index, which has positive mass."""
+    cdf = np.cumsum(probs).tolist()
+    grid = [0.0, 5e-324, 0.5, 0.75, 1.0 - 2.0**-53]
+    for c in cdf:
+        grid += [c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)]
+    for u in grid:
+        if u < 1.0:
+            i = draw_index(cdf, u)
+            assert i == _draw_by_scan(probs, cdf, u) and probs[i] > 0.0, u
+    assert draw_index(cdf, 0.0) == next(i for i, p in enumerate(probs) if p > 0.0)
+
+
+def test_draw_index_shortfall_takes_the_first_index_at_the_total():
+    """Tokens 2 and 3 have mass too small to move the running sum, so the
+    total falls short of 1 by an ulp; a u above it draws token 1, the
+    first index whose running sum reaches the total, not the last
+    positive-mass token."""
+    probs = [0.5, 0.5 - 2.0**-52, 1e-17, 1e-17]
+    cdf = np.cumsum(probs).tolist()
+    assert cdf[1] == cdf[2] == cdf[3] == 1.0 - 2.0**-52
+    u = 1.0 - 2.0**-53
+    assert draw_index(cdf, u) == _draw_by_scan(probs, cdf, u) == 1
+
+
+_mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(1e-20, 1e-15))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_mass, min_size=1, max_size=40).filter(any), st.data())
+def test_draw_index_lands_on_positive_mass(weights, data):
+    """For any conditional with zero-mass entries and any u in [0, 1), the
+    drawn index has positive mass and, when 0 < u <= total, is the one
+    whose running sums bracket u: prev < u <= cdf[i]."""
+    dist = NextTokenDistribution(weights)
+    probs, cdf = dist.probs.tolist(), dist.cdf
+    u = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(cdf)))
+    if u >= 1.0:
+        return
+    i = draw_index(cdf, u)
+    assert probs[i] > 0.0
+    if 0.0 < u <= cdf[-1]:
+        prev = cdf[i - 1] if i else 0.0
+        assert prev < u <= cdf[i]
+    assert i == _draw_by_scan(probs, cdf, u)
 
 
 @pytest.fixture
