@@ -38,12 +38,14 @@ Tarjan, "Making Data Structures Persistent", 1989).  A child's token is
 never masked out, so its leaf is the base's times the child's p.
 
 A cache entry also holds the running sums of its pair's masked
-conditional, renormalized, which gcd draws from; each part is built when
-first read.  A swept node with an empty overlay has no children and no
-leaves but its mask's, so its reweighted conditional is its entry's: it
-bisects those running sums, as gcd does (rsft's root, from its second
-generation on).  The two inverse CDFs round differently, so they can part
-only for a u within rounding of a boundary between two tokens.
+conditional, renormalized, which gcd draws from, and the count of tokens
+the mask rules out, which a sweep reads in place of a scan of the mask;
+each part is built when first read.  A swept node with an empty overlay
+has no children and no leaves but its mask's, so its reweighted
+conditional is its entry's: it bisects those running sums, as gcd does
+(rsft's root, from its second generation on).  The two inverse CDFs
+round differently, so they can part only for a u within rounding of a
+boundary between two tokens.
 
 A generation's invalid prefixes all branch off its sampled path, so they
 come as one update: groups of one-token continuations keyed by depth
@@ -53,7 +55,10 @@ up to the root then rewrites its path child's leaf and sets p from its
 root sum (an unchanged node keeps p = 1).  A viability mask sweeps its
 node, so later masks there are skipped: the node switches to its
 (conditional, mask) entry under an empty overlay and rewrites the paths
-of its surviving children and of the explicit leaves the mask keeps.
+of its surviving children and of the explicit leaves the mask keeps.  A
+node that a mask's group makes is swept at birth: it starts at its pair's
+entry with nothing to rewrite, and no (conditional, None) entry is made
+for it.  A mask whose count is 0 at a depth with no node makes no node.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -129,9 +134,11 @@ _NO_LEAVES: frozenset[int] = frozenset()
 
 class Masked:
     """A trie's cache entry for (``dist``, ``mask``), holding both so neither
-    id in its key is reused: dist.probs·mask's sum ``tree`` (``mask`` None:
-    unmasked) and the running sums ``cdf`` of its renormalization (None
-    when no mass is left), each built when first read."""
+    id in its key is reused: dist.probs·mask's sum ``tree``, the running
+    sums ``cdf`` of its renormalization (None when no mass is left) and
+    the count ``ruled_out`` of tokens the mask rules out, each built when
+    first read.  A None mask rules nothing out: the tree is dist.probs's,
+    the running sums are ``dist.cdf`` and the count is 0."""
 
     def __init__(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> None:
         self.dist = dist
@@ -143,9 +150,16 @@ class Masked:
 
     @cached_property
     def cdf(self) -> list[float] | None:
+        if self.mask is None:
+            return self.dist.cdf
         terms = self.dist.probs * self.mask
         total = float(terms.sum())  # divided as NextTokenDistribution does
         return np.cumsum(terms / total).tolist() if total > 0.0 else None
+
+    @cached_property
+    def ruled_out(self) -> int:
+        mask = self.mask
+        return 0 if mask is None else len(mask) - int(np.count_nonzero(mask))
 
 
 class TrieNode:
@@ -160,7 +174,7 @@ class TrieNode:
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
-        self.mask = None  # the viability mask that swept the node
+        self.mask = None if masked is None else masked.mask  # the mask that swept the node
         self.masked = masked  # the cache entry of (dist, mask), whose tree is the base
         self.p = 1.0
         self.overlay: dict[int, float] = {}  # heap index -> entry rewritten since base
@@ -239,13 +253,16 @@ class InvalidPrefixTrie:
         ``groups`` maps a depth d to invalid continuations of ``path[:d]``:
         a list of tokens, or a viability mask, an array over the vocabulary
         that is false at exactly those tokens.  A mask sweeps its node, and
-        later masks skip a swept node.  ``step_dists[d]`` is the conditional
-        at ``path[:d]``.  The effect is that of ``insert_invalid`` on each
-        prefix, by depth and then token, and nodes are made only down to the
-        deepest group that changes something.  Every existing node on the
-        path is checked against its conditional before anything changes.
-        The caller vouches that every token given is invalid; exactness of
-        the whole sampler rests on that.
+        later masks skip a swept node; a node the mask's group makes starts
+        swept, at the mask's cache entry, and a mask that rules nothing out
+        at a depth with no node makes none.  ``step_dists[d]`` is the
+        conditional at ``path[:d]``.  The effect is that of
+        ``insert_invalid`` on each prefix, by depth and then token, and
+        nodes are made only down to the deepest group that changes
+        something.  Every existing node on the path is checked against its
+        conditional before anything changes.  The caller vouches that every
+        token given is invalid; exactness of the whole sampler rests on
+        that.
         """
         if not groups:
             return 0.0
@@ -280,44 +297,51 @@ class InvalidPrefixTrie:
             if depth > reach:
                 break
             group = groups[depth]
-            sweep = isinstance(group, np.ndarray)
-            if sweep:
-                # swept before, or nothing to record and no node to mark swept
-                if nodes[depth].swept if depth < len(nodes) else group.all():
-                    continue
+            entry = None  # a mask's cache entry, where the node is swept
+            if isinstance(group, np.ndarray):
+                if depth < len(nodes):
+                    if nodes[depth].swept:
+                        continue
+                    entry = self.masked(nodes[depth].dist, group)
+                else:
+                    entry = self.masked(dists[depth], group)
+                    if not entry.ruled_out:  # nothing to record, no node to mark swept
+                        continue
             else:
                 invalid = list(set(group))
                 if depth >= len(nodes) and not invalid:
                     continue
-            if not nodes:
-                root.dist, root.masked = dists[0], self.masked(dists[0], None)
-                nodes.append(root)
-            while len(nodes) <= depth:
-                dist = dists[len(nodes)]
-                child = TrieNode(dist, self.masked(dist, None))
-                nodes[-1].children[path[len(nodes) - 1]] = child
-                self.n_nodes += 1
-                nodes.append(child)
+            while len(nodes) <= depth:  # a mask's node starts at its entry, swept
+                at = len(nodes)
+                dist = dists[at]
+                base = entry if at == depth and entry is not None else self.masked(dist, None)
+                if at:
+                    node = nodes[-1].children[path[at - 1]] = TrieNode(dist, base)
+                    self.n_nodes += 1
+                else:
+                    node = root
+                    root.dist, root.mask, root.masked = dist, base.mask, base
+                nodes.append(node)
             node = nodes[depth]
             children, leaves = node.children, node.invalid
-            if sweep:
-                pruned = [t for t in children if not group[t]]
+            if entry is not None:
+                pruned = kept = ()
+                if children or leaves:  # none at a node born swept
+                    pruned = [t for t in children if not group[t]]
+                    kept = [t for t in leaves if group[t]]  # the caller vouches for these
             else:
                 pruned = [t for t in invalid if t in children]
             for token in pruned:
                 # a longer prefix was inserted earlier; this one dominates it
                 self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
-            if sweep:
-                kept = [t for t in leaves if group[t]]  # the caller vouches for these
+            if entry is not None:
+                if node.masked is not entry:
+                    node.mask, node.masked, node.overlay = group, entry, {}
+                    for token in [*children, *kept]:
+                        self._repath(node, token)
                 # the mask's False entries that were neither leaves nor
                 # children become leaves
-                fresh = len(group) - int(np.count_nonzero(group))
-                fresh -= len(pruned) + len(leaves) - len(kept)
-                node.mask = group
-                node.masked = self.masked(node.dist, group)
-                node.overlay = {}
-                for token in [*children, *kept]:
-                    self._repath(node, token)
+                fresh = entry.ruled_out - (len(pruned) + len(leaves) - len(kept))
             else:  # a few tokens, ars's one: a path each
                 new = [t for t in invalid if t not in pruned and not node.is_leaf(t)]
                 if pruned or new:
@@ -339,7 +363,8 @@ class InvalidPrefixTrie:
             if depth < changed:
                 self._repath(node, path[depth])  # the child's p changed
             over = node.overlay
-            node.p = _clamped(over[1] if 1 in over else node.masked.tree[1])
+            p = over[1] if 1 in over else node.masked.tree[1]
+            node.p = p if 0.0 <= p <= 1.0 else _clamped(p)
         return before - root.p
 
     def masked(self, dist: NextTokenDistribution, mask: np.ndarray | None) -> Masked:

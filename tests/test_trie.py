@@ -559,8 +559,8 @@ def _bench_workload(name):
 def test_v1024_draws_match_the_dense_referee(method):
     """On the dfa-v1024 instance (V = 1024), every 10th generation of a
     seed-1 episode: every node's sum tree is bit for bit the one its shares
-    give, and at every tracked node ``draw`` matches an inverse CDF over
-    ``reweight_factors``."""
+    give, ``n_nodes`` counts the snapshot's lines, and at every tracked
+    node ``draw`` matches an inverse CDF over ``reweight_factors``."""
     lm, checker = _bench_workload("dfa-v1024").build()
     grid = np.concatenate([np.linspace(0, 1, 41)[1:-1], np.random.default_rng(7).random(24)])
     checked = []
@@ -569,6 +569,7 @@ def test_v1024_draws_match_the_dense_referee(method):
         if generation % 10:
             return
         trie.check_local_consistency()
+        assert trie.n_nodes == len(trie.dump().splitlines())
         for prefix, node in trie.nodes():
             _assert_draws_match(trie, node, node.dist, prefix, grid)
         checked.append(trie.n_nodes)
@@ -697,6 +698,73 @@ def _episode_trie(workload, method, accepts=20):
     stream, _ = run(lm, checker, cfg, accepts, trie_hook=lambda generation, trie: tries.append(trie))
     assert len(list(stream)) == accepts
     return tries[-1]
+
+
+@pytest.mark.parametrize("method", ["ars", "rsft", "cars"])
+def test_v1024_sweeps_read_each_count_once(method, monkeypatch):
+    """After a seed-1 episode on dfa-v1024, every cache entry of a mask had
+    its ruled-out count computed exactly once, by the ``update`` that made
+    the entry, and every other entry never; a sweeping method's nodes are
+    born at their mask's entry, so the cache holds no (conditional, None)
+    entry."""
+    from functools import cached_property
+
+    import exsample.trie as trie_mod
+
+    counted = []
+    plain = trie_mod.Masked.ruled_out.func
+
+    def count(entry):
+        counted.append(entry)
+        return plain(entry)
+
+    ruled_out = cached_property(count)
+    ruled_out.__set_name__(trie_mod.Masked, "ruled_out")
+    monkeypatch.setattr(trie_mod.Masked, "ruled_out", ruled_out)
+    trie = _episode_trie("dfa-v1024", method)
+    masked = [entry for entry in trie._cache.values() if entry.mask is not None]
+    assert sorted(map(id, counted)) == sorted(map(id, masked))
+    if method == "ars":
+        assert not masked
+    else:
+        assert masked and len(masked) == len(trie._cache)
+
+
+def test_a_node_swept_at_birth_starts_at_its_pairs_entry():
+    """A node that a mask's group makes, the root too, is created at the
+    (conditional, mask) entry; only a node made on the way to a deeper
+    group starts at its conditional's unmasked entry.  A mask that rules
+    nothing out at a depth with no node makes none."""
+    size = 8
+    probs = np.linspace(1.0, 2.0, size)
+    vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
+    lms = [TableLM(vocab, {}, probs, 4) for _ in range(3)]  # three conditional objects
+    dists = [lm.next_distribution(vocab.empty()) for lm in lms]
+    mask = np.ones(size, dtype=bool)
+    mask[[2, 5]] = False
+    trie = InvalidPrefixTrie()
+    trie.update((0,), dists[:2], {0: mask, 1: np.ones(size, dtype=bool)})
+    root = trie.root
+    assert root.swept and root.mask is mask and root.masked is trie._cache[id(dists[0]), id(mask)]
+    assert not root.children and trie.n_nodes == 3 == len(trie.dump().splitlines())
+    assert not any(entry.mask is None for entry in trie._cache.values())
+    trie.update((0, 1), dists, {2: mask})
+    node, deep = root.children[0], root.children[0].children[1]
+    assert not node.swept and node.masked is trie._cache[id(dists[1]), id(None)]
+    assert deep.swept and deep.masked is trie._cache[id(dists[2]), id(mask)]
+    assert trie.n_nodes == 7 == len(trie.dump().splitlines())
+    trie.check_local_consistency()
+
+
+def test_unmasked_entry_has_the_conditionals_running_sums(arith_lm):
+    """The entry of (conditional, None) rules nothing out: its running sums
+    are the conditional's own, its tree is the conditional's, and its
+    count is 0."""
+    dist = arith_lm.next_distribution(arith_lm.vocab.empty())
+    entry = InvalidPrefixTrie().masked(dist, None)
+    assert entry.cdf is dist.cdf
+    assert entry.tree.tobytes() == _tree(dist.probs).tobytes()
+    assert entry.ruled_out == 0
 
 
 @pytest.mark.parametrize("workload", ["arith", "dfa-v1024"])
