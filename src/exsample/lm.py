@@ -10,11 +10,8 @@ over terminated sequences is 1.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import urllib.error
-import urllib.request
 import warnings
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
@@ -140,8 +137,8 @@ class TableLM(LanguageModel):
     def __init__(
         self,
         vocab: Vocabulary,
-        contexts: Mapping[tuple[int, ...], Iterable[float]],
-        default: Iterable[float],
+        contexts: Mapping[tuple[int, ...], list[float] | np.ndarray],
+        default: list[float] | np.ndarray,
         max_len: int,
     ) -> None:
         super().__init__(vocab, max_len)
@@ -149,7 +146,7 @@ class TableLM(LanguageModel):
         self._table = {tuple(ctx): self._vector(v) for ctx, v in contexts.items()}
 
     def _vector(self, values) -> NextTokenDistribution:
-        arr = np.asarray(list(values), dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)  # a float64 array is not copied
         if arr.shape != (self.vocab.size,):
             raise ValueError(
                 f"probability vector of length {arr.size} does not match "
@@ -161,15 +158,16 @@ class TableLM(LanguageModel):
         return self._table.get(ids, self._default)
 
 
-def _floats(values: list, label: str) -> list[float]:
-    """``values``, JSON numbers, as floats; a ValueError names ``label`` and
-    the first entry that is no number or lies beyond the float range."""
+def _floats(values: list, label: str) -> np.ndarray:
+    """``values``, JSON numbers, as a float64 array; a ValueError names
+    ``label`` and the first entry that is no number or lies beyond the
+    float range."""
     numbers = {int, float}  # what a JSON number parses to; a bool is neither
     if not set(map(type, values)) <= numbers:
         bad = next(i for i, x in enumerate(values) if type(x) not in numbers)
         raise ValueError(f"{label} entry {bad} is {values[bad]!r}, not a number")
     try:
-        return list(map(float, values))
+        return np.array(values, dtype=np.float64)  # each entry as float() gives it
     except OverflowError:  # a JSON integer beyond the float range
         for i, x in enumerate(values):
             try:
@@ -192,15 +190,20 @@ def vocab_from_doc(doc: Mapping, kind: str) -> Vocabulary:
     return Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", kind))
 
 
-def _checked_vector(raw, size: int, where: str) -> list[float]:
+def _checked_vector(raw, size: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != size:
         raise ValueError(f"{where}: expected a probability array of length {size}")
     vec = _floats(raw, f"{where}:")
-    if any(x < 0 for x in vec):
+    finite = np.isfinite(vec)
+    if not finite.all():  # json.loads takes NaN and Infinity
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{where}: entry {bad} is {raw[bad]!r}, not a finite number")
+    if (vec < 0).any():
         raise ValueError(f"{where}: negative probability")
-    drift = abs(sum(vec) - 1.0)
+    total = sum(vec.tolist())  # Python's sum, not numpy's pairwise order
+    drift = abs(total - 1.0)
     if drift > _SUM_HARD:
-        raise ValueError(f"{where}: probabilities sum to {sum(vec):.6g}, not 1")
+        raise ValueError(f"{where}: probabilities sum to {total:.6g}, not 1")
     if drift > _SUM_WARN:
         warnings.warn(f"{where}: renormalizing vector off by {drift:.3g}", stacklevel=3)
     return vec
@@ -342,6 +345,12 @@ class RemoteLM(LanguageModel):
         hit = self._cache.get(ids)
         if hit is not None:
             return hit
+        # imported on the first query, so a run on a local model never
+        # loads the HTTP client and the ssl and email modules it pulls in
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"prefix": list(ids)}).encode()
         request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
         try:
@@ -364,7 +373,7 @@ class RemoteLM(LanguageModel):
             raise ValueError(
                 f"logprobs of length {got} do not match vocabulary size {self.vocab.size}"
             )
-        arr = np.asarray(_floats(logprobs, "logprobs"))
+        arr = _floats(logprobs, "logprobs")
         if not np.all(np.isfinite(arr)):
             raise ValueError("logit endpoint returned non-finite log-probabilities")
         dist = NextTokenDistribution(np.exp(arr - arr.max()))

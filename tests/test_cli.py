@@ -393,3 +393,14 @@ def test_import_check_names_a_third_party_module(tmp_path):
     done = _check_imports(tmp_path)
     assert done.returncode == 1
     assert "thirdparty_dep" in done.stdout
+
+
+def test_import_check_names_the_http_stack(tmp_path):
+    """The check fails, naming the module, when the CLI loads the standard
+    library's HTTP client, which only a remote model's first query needs."""
+    (tmp_path / "exsample").mkdir()
+    (tmp_path / "exsample" / "__init__.py").write_text("")
+    (tmp_path / "exsample" / "cli.py").write_text("import urllib.request\n")
+    done = _check_imports(tmp_path)
+    assert done.returncode == 1
+    assert "urllib.request" in done.stdout

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import socket
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,3 +195,56 @@ def test_the_package_imports_without_requests():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter: this module loads http.server, and with it
+# the HTTP client, into the test process.
+_LAZY_HTTP = """
+import json, sys, threading
+at_start = set(sys.modules)
+import exsample.cli
+from exsample import load_table_lm
+from exsample.lm import RemoteLM
+fixture, scripts = sys.argv[1:]
+stack = ("email", "http.client", "ssl", "urllib.request")
+out = {"loaded": [m for m in stack if m in sys.modules and m not in at_start]}
+lm = load_table_lm(fixture)
+closed = RemoteLM(lm.vocab, "http://127.0.0.1:1/logits", lm.max_len, timeout=0.2)
+try:
+    closed.next_distribution(lm.vocab.empty())
+except Exception as exc:
+    out["closed_port"] = type(exc).__name__
+sys.path.insert(0, scripts)
+from serve_table_lm import make_server
+server = make_server(lm, "127.0.0.1", 0)
+thread = threading.Thread(target=server.serve_forever, daemon=True)
+thread.start()
+try:
+    remote = RemoteLM(lm.vocab, f"http://127.0.0.1:{server.server_port}/", lm.max_len)
+    prefix = lm.vocab.seq([0])
+    got, want = remote.next_distribution(prefix).probs, lm.next_distribution(prefix).probs
+    out["gap"] = float(abs(got - want).max())
+finally:
+    server.shutdown()
+    thread.join()
+    server.server_close()
+print(json.dumps(out))
+"""
+
+
+def test_http_client_loads_on_the_first_remote_query():
+    """``import exsample.cli`` loads no HTTP client; a first query loads it
+    itself, so a closed port is a TransportError, not a NameError, and a
+    served table answers with its own conditional."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_HTTP, str(root / "fixtures" / "arith_lm.json"),
+         str(root / "scripts")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["closed_port"] == "TransportError"
+    assert out["gap"] <= 1e-12

@@ -5,6 +5,8 @@ import json
 import math
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from exsample.lm import (
     table_lm_from_doc,
 )
 from exsample.vocab import UnterminatedSequenceError, Vocabulary
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_vocabulary_basics():
@@ -372,6 +379,53 @@ def test_load_table_lm_warns_on_small_drift():
     with pytest.warns(UserWarning, match="renormalizing"):
         lm = table_lm_from_doc(doc)
     assert lm.next_distribution(lm.vocab.empty()).probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "field, index, bad",
+    [("default", 1, math.nan), ("default", 3, math.inf), ("contexts", 0, math.nan),
+     ("contexts", 2, -math.inf)],
+)
+def test_table_lm_probabilities_must_be_finite(field, index, bad):
+    """json.loads takes NaN and Infinity; such an entry is refused by
+    vector and index like any other bad entry."""
+    doc = _doc()
+    vec = doc["default"] if field == "default" else doc["contexts"]["0,2"]
+    vec[index] = bad
+    where = "default vector" if field == "default" else "context '0,2'"
+    want = f"{where}: entry {index} is {bad!r}, not a finite number"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_table_lm(io.StringIO(json.dumps(doc)))
+
+
+def _reference_probs(raw):
+    """The conditional of a vector whose entries are converted to floats
+    one by one, then validated and renormalized by NextTokenDistribution."""
+    return NextTokenDistribution(np.asarray(list(map(float, raw)), dtype=np.float64)).probs
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*_lm.json")) + ["dfa-v1024"])
+def test_table_lm_probabilities_match_a_float_by_float_conversion(name):
+    """Every stored conditional is byte for byte the one a float-by-float
+    conversion of its JSON entries gives."""
+    if name in WORKLOADS:
+        text = WORKLOADS[name]().lm_text
+    else:
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    lm = load_table_lm(io.StringIO(text))
+    vocab, contexts = lm.vocab, doc.get("contexts", {})
+    for key, raw in contexts.items():
+        ids = tuple(int(t) for t in key.split(",")) if key else ()
+        got = lm.next_distribution(Sequence(ids, False)).probs
+        assert got.tobytes() == _reference_probs(raw).tobytes(), (name, key)
+    body = [t for t in range(vocab.size) if t != vocab.eos]
+    free = next(  # a prefix with no context of its own draws from the default
+        ids for n in range(lm.max_len) for ids in itertools.product(body, repeat=n)
+        if ",".join(map(str, ids)) not in contexts
+    )
+    got = lm.next_distribution(Sequence(free, False)).probs
+    assert got.tobytes() == _reference_probs(doc["default"]).tobytes(), name
 
 
 # -- n-gram LM --------------------------------------------------------------
