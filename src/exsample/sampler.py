@@ -69,6 +69,10 @@ class SamplerConfig:
 class SampleTrace:
     """One complete generation: the tokens, the full conditional recorded at
     every step, and viability masks for as long as the prefix stayed viable.
+    ``swept`` counts the leading steps drawn at swept trie nodes: their
+    masks are the nodes' own, which the trie already holds, so
+    ``invalid_set`` gives no group for them.  It defaults to 0, a trace
+    whose every group is new.
 
     Immutable and slotted like ``Sequence``, and built the same way, by
     storing the fields straight into their slots.
@@ -78,6 +82,7 @@ class SampleTrace:
     accepted: bool
     step_dists: tuple[NextTokenDistribution, ...]
     step_masks: tuple[np.ndarray, ...]
+    swept: int
 
     def __init__(
         self,
@@ -85,15 +90,19 @@ class SampleTrace:
         accepted: bool,
         step_dists: tuple[NextTokenDistribution, ...],
         step_masks: tuple[np.ndarray, ...],
+        swept: int = 0,
     ) -> None:
         _set_tokens(self, tokens)
         _set_accepted(self, accepted)
         _set_step_dists(self, step_dists)
         _set_step_masks(self, step_masks)
+        _set_swept(self, swept)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, not by setting slots
-        return SampleTrace, (self.tokens, self.accepted, self.step_dists, self.step_masks)
+        return SampleTrace, (
+            self.tokens, self.accepted, self.step_dists, self.step_masks, self.swept
+        )
 
     @property
     def lm_calls(self) -> int:
@@ -104,6 +113,7 @@ _set_tokens = SampleTrace.tokens.__set__
 _set_accepted = SampleTrace.accepted.__set__
 _set_step_dists = SampleTrace.step_dists.__set__
 _set_step_masks = SampleTrace.step_masks.__set__
+_set_swept = SampleTrace.swept.__set__
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -146,7 +156,10 @@ def _draw(
     once it leaves the viable set, everything below is already covered by
     the trie, so mask queries stop, and the sequence is no member, so
     membership is asked only of a sequence that stayed viable.  A masked
-    draw never leaves the viable set.
+    draw never leaves the viable set.  A swept tracked node supplies its
+    own mask, the checker's array that swept it, so the checker is asked
+    only at the other steps; the trace's ``swept`` counts the leading
+    steps drawn at such nodes.
     """
     if trie.root.p <= 0.0:
         raise MassExhaustedError("no valid mass left; constraint unreachable")
@@ -155,6 +168,7 @@ def _draw(
     ids: list[int] = []
     dists: list[NextTokenDistribution] = []
     masks: list[np.ndarray] = []
+    swept = 0
     # a root nothing was recorded under has no tree: its draws are untracked
     node = None if masked or trie.root.dist is None else trie.root
     viable = True
@@ -163,7 +177,12 @@ def _draw(
         dist = lm.next_distribution(prefix)
         dists.append(dist)
         if viable:
-            mask = checker.viability_mask(prefix)
+            if node is not None and node.mask is not None:
+                mask = node.mask
+                if swept == len(ids):  # every step so far was at a swept node
+                    swept += 1
+            else:
+                mask = checker.viability_mask(prefix)
             masks.append(mask)
         if node is not None:
             token = trie.draw(node, dist, prefix.ids, random())
@@ -187,7 +206,7 @@ def _draw(
     tokens = Sequence(tuple(ids), True)
     # a prefix that failed its mask has no member among its extensions
     accepted = viable and checker.is_complete(tokens)
-    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks))
+    return SampleTrace(tokens, accepted, tuple(dists), tuple(masks), swept)
 
 
 def sample_one(
@@ -209,7 +228,9 @@ def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.nda
     distributions.  The group at depth i stands for invalid one-token
     continuations of the trace's first i tokens: ars gives its one sampled
     invalid token, as a list; rsft and cars give viability masks, whose
-    False entries are all of them; rs and gcd give none.
+    False entries are all of them; rs and gcd give none.  A mask the trace
+    took from a swept node (its first ``swept``) is that node's own, so it
+    gives no group: the trie holds every prefix it would record.
 
     Edge probabilities come from the trace's recorded conditionals; a
     prefix branching off the sampled path at step i reuses step i's
@@ -223,12 +244,14 @@ def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.nda
             return {}
         k = len(masks)  # prefix ids[:k-1] was viable, ids[:k] is not
         return {k - 1: [trace.tokens.ids[k - 1]]}
+    swept = trace.swept
     if method == "rsft":
-        return {0: masks[0]}  # every invalid first token, whatever was sampled
+        # every invalid first token, whatever was sampled, until the root is swept
+        return {} if swept else {0: masks[0]}
     # cars: every invalid one-token continuation of every visited viable
     # prefix; this includes the trace's own shortest invalid prefix when
     # the trace was rejected, and applies unchanged to accepted samples
-    return dict(enumerate(masks))
+    return dict(enumerate(masks[swept:], swept))
 
 
 def gcd_sample(

@@ -53,12 +53,15 @@ along the path.  One walk down checks the path and applies each group,
 rewriting its new leaves' paths; every node from the deepest one changed
 up to the root then rewrites its path child's leaf and sets p from its
 root sum (an unchanged node keeps p = 1).  A viability mask sweeps its
-node, so later masks there are skipped: the node switches to its
-(conditional, mask) entry under an empty overlay and rewrites the paths
-of its surviving children and of the explicit leaves the mask keeps.  A
-node that a mask's group makes is swept at birth: it starts at its pair's
-entry with nothing to rewrite, and no (conditional, None) entry is made
-for it.  A mask whose count is 0 at a depth with no node makes no node.
+node: the node switches to its (conditional, mask) entry under an empty
+overlay and rewrites the paths of its surviving children and of the
+explicit leaves the mask keeps.  A swept node keeps that mask, the
+checker's own array, and supplies it to the sampler in place of a
+checker query, so no later group comes back for it (a mask that does is
+skipped).  A node that a mask's group makes is swept at birth: it starts
+at its pair's entry with nothing to rewrite, and no (conditional, None)
+entry is made for it.  A mask whose count is 0 at a depth with no node
+makes no node.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -493,18 +496,21 @@ class InvalidPrefixTrie:
     # -- introspection ------------------------------------------------------
 
     def _walk(self, node: TrieNode, ids: tuple[int, ...] = ()) -> Iterator:
-        """Depth-first (ids, node) pairs in token order; None: invalid prefix."""
-        yield ids, node
-        children = node.children
-        leaves = set(node.invalid)
-        if node.mask is not None:
-            leaves.update(np.flatnonzero(~node.mask).tolist())
-        for token in sorted(leaves.union(children)):
-            child = children.get(token)
-            if child is None:
-                yield ids + (token,), None
-            else:
-                yield from self._walk(child, ids + (token,))
+        """Depth-first (ids, node) pairs in token order; None: invalid prefix.
+        The pending pairs sit on an explicit stack, in reverse token order,
+        so a trie of any depth is walked without recursion."""
+        stack = [(ids, node)]
+        while stack:
+            ids, node = stack.pop()
+            yield ids, node
+            if node is None:
+                continue
+            children = node.children
+            leaves = set(node.invalid)
+            if node.mask is not None:
+                leaves.update(np.flatnonzero(~node.mask).tolist())
+            for token in sorted(leaves.union(children), reverse=True):
+                stack.append((ids + (token,), children.get(token)))
 
     def nodes(self) -> Iterator:
         """Depth-first (prefix ids, node) pairs of the tracked nodes."""
@@ -523,8 +529,11 @@ class InvalidPrefixTrie:
         values, not from the stored shares, and compare against the
         incrementally maintained values to ``_CHECK_TOL``."""
 
-        def recompute(ids: tuple[int, ...], node: TrieNode) -> float:
-            fresh = 1.0
+        def opened(ids: tuple[int, ...], node: TrieNode) -> tuple:
+            """Check the node's base and sum tree; its frame holds its
+            shares, which its children's recomputed values overwrite, and
+            the children still to visit."""
+            shares = None
             if node.dist is not None:
                 if node.masked is not self._cache.get((id(node.dist), id(node.mask))):
                     raise TrieCorruptionError(
@@ -544,16 +553,25 @@ class InvalidPrefixTrie:
                     raise TrieCorruptionError(
                         f"node {ids}: sum tree differs from the one its shares give"
                     )
-                for token, child in node.children.items():
-                    shares[token] = recompute(ids + (token,), child)
-                fresh = float((node.dist.probs * shares).sum())
+            return ids, node, shares, iter(node.children.items())
+
+        # an explicit stack of the open nodes, root first: a node's p is
+        # compared once all its children's are recomputed
+        stack = [opened((), self.root)]
+        while stack:
+            ids, node, shares, children = stack[-1]
+            child = next(children, None)
+            if child is not None:
+                stack.append(opened(ids + (child[0],), child[1]))
+                continue
+            stack.pop()
+            fresh = 1.0 if shares is None else float((node.dist.probs * shares).sum())
             if abs(fresh - node.p) > _CHECK_TOL:
                 raise TrieCorruptionError(
                     f"node {ids}: stored p {node.p!r} vs recomputed {fresh!r}"
                 )
-            return fresh
-
-        recompute((), self.root)
+            if stack:  # the parent's share of this node
+                stack[-1][2][ids[-1]] = fresh
 
     def dump(self) -> str:
         """Depth-first snapshot: one ``prefix<TAB>p<TAB>leaf`` line per

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,22 @@ def test_cars_sweeps_every_visited_viable_prefix(arith_lm, arith_checker):
         assert trace.tokens.ids[: len(ids)] != ids
 
 
+def test_swept_steps_give_no_groups(arith_lm, arith_checker):
+    """A trace's first ``swept`` masks are its swept nodes' own: cars gives
+    groups only below them, rsft none, and ars, which reads no mask's
+    entries, what it gives without them."""
+    trace = make_trace(arith_lm, arith_checker, (0, 2, 1, 3))
+    swept = SampleTrace(trace.tokens, trace.accepted, trace.step_dists, trace.step_masks, 2)
+    assert trace.swept == 0
+    groups = invalid_set(swept, "cars")
+    assert sorted(groups) == [2, 3]
+    assert all(groups[d] is trace.step_masks[d] for d in groups)
+    assert invalid_set(swept, "rsft") == {}
+    assert invalid_set(swept, "ars") == invalid_set(trace, "ars") == {}
+    assert copy.copy(swept) == swept != trace
+    assert pickle.loads(pickle.dumps(swept)).swept == 2
+
+
 def test_cars_rejected_covers_shortest_invalid(arith_lm, arith_checker):
     trace = make_trace(arith_lm, arith_checker, (0, 2, 2, 3))
     got = [ids for ids, _, _ in _invalid(trace, "cars", arith_lm.vocab)]
@@ -368,7 +387,7 @@ def _no_bb_checker(vocab):
 def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith_checker):
     """run skips the continuations of swept prefixes; the trie it grows must
     equal, generation by generation, one grown by inserting the whole
-    invalid set of every trace."""
+    invalid set of every trace, swept steps' masks included."""
     if instance == "arith":
         lm, checker = arith_lm, arith_checker
     else:
@@ -389,7 +408,10 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     rng = make_rng(cfg.seed)
     for dump in dumps:
         trace = sample_one(lm, checker, trie, cfg, rng)
-        for ids, dists, _ in invalid_prefixes(trace, invalid_set(trace, method), lm.vocab.eos):
+        # a copy that counts no swept step gives every group the trace saw
+        whole = SampleTrace(trace.tokens, trace.accepted, trace.step_dists, trace.step_masks)
+        assert whole.swept == 0
+        for ids, dists, _ in invalid_prefixes(whole, invalid_set(whole, method), lm.vocab.eos):
             trie.insert_invalid(ids, dists)
         assert trie.dump() == dump
 
@@ -431,7 +453,7 @@ class _DriftingLM(LanguageModel):
         return NextTokenDistribution(probs)
 
 
-@pytest.mark.parametrize("method", ["ars", "cars"])
+@pytest.mark.parametrize("method", ["ars", "rsft", "cars"])
 def test_trie_corruption_names_method_seed_and_generation(method, arith_lm, arith_checker):
     lm = _DriftingLM(arith_lm)
     stream, metrics = run(lm, arith_checker, cfg_for(lm, method, seed=5, cap=500))
@@ -512,6 +534,50 @@ def test_membership_is_asked_only_of_viable_traces(instance, method, arith_lm, a
             want.append(member)
             trie.update(trace.tokens.ids, trace.step_dists, invalid_set(trace, method))
         assert flags == want
+
+
+@pytest.mark.parametrize("method", ["rsft", "cars"])
+@pytest.mark.parametrize("instance", ["arith", "dfa"])
+def test_swept_nodes_supply_the_checkers_masks(instance, method, arith_lm, arith_grammar):
+    """A step at a swept trie node takes its mask from the node, not the
+    checker: every recorded mask must still be the one a separate checker
+    gives for that prefix, and a run asks its checker fewer times than it
+    has viable steps."""
+    if instance == "arith":
+        lm, checker = arith_lm, EarleyChecker(arith_grammar, arith_lm.vocab)
+        referee = EarleyChecker(arith_grammar, lm.vocab)
+    else:
+        lm, checker = _ab_instance()
+        referee = _ab_instance()[1]
+    calls = 0
+    viability_mask = checker.viability_mask
+
+    def counted(prefix):
+        nonlocal calls
+        calls += 1
+        return viability_mask(prefix)
+
+    checker.viability_mask = counted
+    cfg = cfg_for(lm, method, seed=11, cap=300)
+    stream, metrics = run(lm, checker, cfg)
+    accepted = list(stream)
+    run_calls, calls = calls, 0
+
+    trie, rng = InvalidPrefixTrie(), make_rng(cfg.seed)
+    replayed, steps, swept = [], 0, 0
+    for _ in range(metrics.generations):
+        trace = sample_one(lm, checker, trie, cfg, rng)
+        ids = trace.tokens.ids
+        for depth, mask in enumerate(trace.step_masks):
+            assert np.array_equal(mask, referee.viability_mask(Sequence(ids[:depth], False)))
+        steps += len(trace.step_masks)
+        swept += trace.swept
+        trie.update(ids, trace.step_dists, invalid_set(trace, method))
+        if trace.accepted:
+            replayed.append(trace.tokens)
+    assert replayed == accepted
+    assert swept > 0
+    assert run_calls == calls <= steps - swept < steps
 
 
 @pytest.mark.parametrize("method", METHODS)

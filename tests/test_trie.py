@@ -1088,3 +1088,33 @@ def test_dump_text_after_pruning(arith_lm):
     )
     assert trie.n_nodes == 5
     trie.check_local_consistency()
+
+
+def test_a_trie_deeper_than_the_recursion_limit_is_walked():
+    """Dump, list, check and prune keep their pending nodes on an explicit
+    stack: a path of 2000 tracked nodes, twice Python's default recursion
+    limit, is walked in the same depth-first token order."""
+    depth = 2000
+    dist = NextTokenDistribution(np.array([0.5, 0.3, 0.2]))
+    path = (0,) * depth
+    trie = InvalidPrefixTrie()
+    trie.update(path, [dist] * (depth + 1), {depth: [1], depth - 1: [2]})
+    assert trie.n_nodes == depth + 3  # the tracked path and two leaves
+    lines = trie.dump().splitlines()
+    assert len(lines) == trie.n_nodes
+    assert lines[-3:] == [
+        f"{','.join(['0'] * depth)}\t{trie.p_value(path)!r}\t0",
+        f"{','.join(['0'] * depth + ['1'])}\t0.0\t1",
+        f"{','.join(['0'] * (depth - 1) + ['2'])}\t0.0\t1",
+    ]
+    assert [ids for ids, _ in trie.nodes()] == [path[:d] for d in range(depth + 1)]
+    assert trie.leaves() == [path + (1,), path[:-1] + (2,)]
+    trie.check_local_consistency()
+    assert trie.p_eps == pytest.approx(1.0 - 0.5**1999 * (0.2 + 0.5 * 0.3), abs=1e-15)
+
+    # a prefix one token deep dominates the whole path: its subtree goes
+    assert trie.insert_invalid(path[:1], [dist]) == pytest.approx(0.5, abs=1e-15)
+    assert trie.n_nodes == 2
+    assert trie.dump() == "\t0.5\t0\n0\t0.0\t1\n"
+    assert trie.leaves() == [(0,)]
+    trie.check_local_consistency()
