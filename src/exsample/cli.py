@@ -141,13 +141,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             scfg = SamplerConfig(
                 method=method, seed=seed, max_len=lm.max_len, sample_cap=cfg.sample_cap
             )
-            hook = None
-            if cfg.dump_trie:
-                hook = _trie_dump_hook(out_dir, method, seed)
+            hook = _TrieDumps(out_dir, method, seed) if cfg.dump_trie else None
             stream, metrics = run(
                 lm, checker, scfg, target_valid=cfg.target_valid, trie_hook=hook
             )
             samples = list(stream)
+            if hook is not None:
+                hook.write("final")
             if samples:
                 metrics.kl_proxy = empirical_kl(samples, lm_reference(samples, lm))
                 if oracle_cond is not None:
@@ -168,13 +168,23 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _trie_dump_hook(out_dir: Path, method: str, seed: int):
-    def hook(iteration: int, trie) -> None:
-        if iteration % 100 == 0:
-            path = out_dir / f"trie_{method}_{seed}_iter{iteration:06d}.txt"
-            path.write_text(trie.dump(), encoding="utf-8")
+class _TrieDumps:
+    """A run's trie hook for ``--dump-trie``: a snapshot every 100
+    generations; the caller writes the final one once the run ends."""
 
-    return hook
+    def __init__(self, out_dir: Path, method: str, seed: int) -> None:
+        self.out_dir, self.name = out_dir, f"trie_{method}_{seed}"
+        self.trie = None
+
+    def __call__(self, iteration: int, trie) -> None:
+        self.trie = trie
+        if iteration % 100 == 0:
+            self.write(f"iter{iteration:06d}")
+
+    def write(self, suffix: str) -> None:
+        """Dump the trie last seen; a run makes at least one generation."""
+        path = self.out_dir / f"{self.name}_{suffix}.txt"
+        path.write_text(self.trie.dump(), encoding="utf-8")
 
 
 def _write_metrics_csv(path: Path, all_metrics: list[RunMetrics]) -> None:

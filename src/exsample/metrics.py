@@ -85,20 +85,22 @@ def lm_reference(samples: Iterable[Sequence], lm: LanguageModel) -> ExactDistrib
     return ExactDistribution(table, ordered_sum(table.values()))
 
 
-def bootstrap_ci(
-    per_run_values: Iterable[float],
-    level: float = 0.95,
-    n_resamples: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of per-run values."""
+# bootstrap_ci's interval: its coverage, resample count and generator seed
+_CI_LEVEL = 0.95
+_CI_RESAMPLES = 10_000
+_CI_SEED = 0
+
+
+def bootstrap_ci(per_run_values: Iterable[float]) -> tuple[float, float]:
+    """Seeded percentile bootstrap interval, at ``_CI_LEVEL``, for the mean
+    of per-run values."""
     values = np.asarray(list(per_run_values), dtype=np.float64)
     if values.size < 2:
         raise ValueError("bootstrap needs at least two runs")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, values.size, size=(n_resamples, values.size))
+    rng = np.random.default_rng(_CI_SEED)
+    idx = rng.integers(0, values.size, size=(_CI_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = np.quantile(means, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 

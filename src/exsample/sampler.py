@@ -34,7 +34,7 @@ value at a time, so the blocks change the cost of a draw, not its bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,55 +65,23 @@ class SamplerConfig:
             raise ValueError("max_len must be at least 1")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SampleTrace:
+class SampleTrace(NamedTuple):
     """One complete generation: the tokens, the full conditional recorded at
     every step, and viability masks for as long as the prefix stayed viable.
     ``swept`` counts the leading steps drawn at swept trie nodes: their
     masks are the nodes' own, which the trie already holds, so
     ``invalid_set`` gives no group for them.  It defaults to 0, a trace
-    whose every group is new.
-
-    Immutable and slotted like ``Sequence``, and built the same way, by
-    storing the fields straight into their slots.
-    """
+    whose every group is new."""
 
     tokens: Sequence
     accepted: bool
     step_dists: tuple[NextTokenDistribution, ...]
     step_masks: tuple[np.ndarray, ...]
-    swept: int
-
-    def __init__(
-        self,
-        tokens: Sequence,
-        accepted: bool,
-        step_dists: tuple[NextTokenDistribution, ...],
-        step_masks: tuple[np.ndarray, ...],
-        swept: int = 0,
-    ) -> None:
-        _set_tokens(self, tokens)
-        _set_accepted(self, accepted)
-        _set_step_dists(self, step_dists)
-        _set_step_masks(self, step_masks)
-        _set_swept(self, swept)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not by setting slots
-        return SampleTrace, (
-            self.tokens, self.accepted, self.step_dists, self.step_masks, self.swept
-        )
+    swept: int = 0
 
     @property
     def lm_calls(self) -> int:
         return len(self.step_dists)
-
-
-_set_tokens = SampleTrace.tokens.__set__
-_set_accepted = SampleTrace.accepted.__set__
-_set_step_dists = SampleTrace.step_dists.__set__
-_set_step_masks = SampleTrace.step_masks.__set__
-_set_swept = SampleTrace.swept.__set__
 
 
 def make_rng(seed: int) -> np.random.Generator:

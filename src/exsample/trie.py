@@ -12,9 +12,9 @@ below a leaf).
 
 A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
 its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
-entries of the viability ``mask`` that swept it), and a binary sum tree
-over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method for
-weighted sampling without replacement", SIAM J. Comput. 1980): a heap of
+entries of the viability ``mask`` it was born swept by), and a binary sum
+tree over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method
+for weighted sampling without replacement", SIAM J. Comput. 1980): a heap of
 2W floats, W being V rounded up to a power of two, where leaf W + t holds
 token t's term (zero past V) and sum i is sum 2i plus sum 2i + 1, so sum
 1 is p(u).  A changed share rewrites its token's leaf and recomputes the
@@ -27,7 +27,9 @@ right only into positive mass, so it ends on a positive-mass token.
 
 A node does not own a heap.  Its base is the tree of ``masked``, the
 trie's one per-run cache entry for its (conditional, mask) pair, the mask
-None until a sweep: leaf t holds P(t|u), or 0 where the mask rules t out.
+None unless the node was born swept: leaf t holds P(t|u), or 0 where the
+mask rules t out.  The base never changes after the node's birth (the
+root's first update gives the empty root its own).
 Its ``overlay`` maps a heap index to an entry rewritten since: entry i is
 ``overlay[i]`` when present, else the base's.  A rewritten entry's parent
 is rewritten too, so the overlay's keys are closed upward, and an entry
@@ -52,16 +54,16 @@ come as one update: groups of one-token continuations keyed by depth
 along the path.  One walk down checks the path and applies each group,
 rewriting its new leaves' paths; every node from the deepest one changed
 up to the root then rewrites its path child's leaf and sets p from its
-root sum (an unchanged node keeps p = 1).  A viability mask sweeps its
-node: the node switches to its (conditional, mask) entry under an empty
-overlay and rewrites the paths of its surviving children and of the
-explicit leaves the mask keeps.  A swept node keeps that mask, the
-checker's own array, and supplies it to the sampler in place of a
-checker query, so no later group comes back for it (a mask that does is
-skipped).  A node that a mask's group makes is swept at birth: it starts
-at its pair's entry with nothing to rewrite, and no (conditional, None)
-entry is made for it.  A mask whose count is 0 at a depth with no node
-makes no node.
+root sum (an unchanged node keeps p = 1).  A viability mask sweeps only
+a node it makes: the node is born at its pair's entry with nothing to
+rewrite, and no (conditional, None) entry is made for it.  A mask whose
+count is 0 at a depth with no node makes no node, but a node made on the
+way to a deeper group at that depth is born at the mask's entry all the
+same.  A swept node keeps its mask, the checker's own array, and
+supplies it to the sampler in place of a checker query, so no later
+group comes back for it.  A mask given at an already tracked node counts
+as its False tokens, each recorded as a token group's would be: at a
+swept node every one is a leaf already, so nothing changes.
 
 Single writer: updates must be serialized; ``draw``, ``p_value`` and
 ``reweight_factors`` only read.  Nodes must not be changed except
@@ -177,15 +179,10 @@ class TrieNode:
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
-        self.mask = None if masked is None else masked.mask  # the mask that swept the node
+        self.mask = None if masked is None else masked.mask  # the mask it was born swept by
         self.masked = masked  # the cache entry of (dist, mask), whose tree is the base
         self.p = 1.0
         self.overlay: dict[int, float] = {}  # heap index -> entry rewritten since base
-
-    @property
-    def swept(self) -> bool:
-        """Every invalid one-token continuation is a leaf."""
-        return self.mask is not None
 
     def is_leaf(self, token: int) -> bool:
         """Whether u·token is a recorded invalid prefix."""
@@ -255,10 +252,11 @@ class InvalidPrefixTrie:
 
         ``groups`` maps a depth d to invalid continuations of ``path[:d]``:
         a list of tokens, or a viability mask, an array over the vocabulary
-        that is false at exactly those tokens.  A mask sweeps its node, and
-        later masks skip a swept node; a node the mask's group makes starts
-        swept, at the mask's cache entry, and a mask that rules nothing out
-        at a depth with no node makes none.  ``step_dists[d]`` is the
+        that is false at exactly those tokens.  A mask at a depth with no
+        node makes one born swept, at the mask's cache entry, unless it
+        rules nothing out; a node made on the way at a mask's depth starts
+        at that entry too.  A mask at a tracked node is taken as the list
+        of its False tokens.  ``step_dists[d]`` is the
         conditional at ``path[:d]``.  The effect is that of
         ``insert_invalid`` on each prefix, by depth and then token, and
         nodes are made only down to the deepest group that changes
@@ -300,24 +298,21 @@ class InvalidPrefixTrie:
             if depth > reach:
                 break
             group = groups[depth]
-            entry = None  # a mask's cache entry, where the node is swept
-            if isinstance(group, np.ndarray):
-                if depth < len(nodes):
-                    if nodes[depth].swept:
-                        continue
-                    entry = self.masked(nodes[depth].dist, group)
-                else:
-                    entry = self.masked(dists[depth], group)
-                    if not entry.ruled_out:  # nothing to record, no node to mark swept
-                        continue
+            born = None  # the entry of a mask whose node the group makes
+            if depth >= len(nodes) and isinstance(group, np.ndarray):
+                born = self.masked(dists[depth], group)
+                if not born.ruled_out:  # nothing to record, no node to make
+                    continue
             else:
+                if isinstance(group, np.ndarray):  # a tracked node's: its False tokens
+                    group = np.flatnonzero(~group).tolist()
                 invalid = list(set(group))
                 if depth >= len(nodes) and not invalid:
                     continue
-            while len(nodes) <= depth:  # a mask's node starts at its entry, swept
+            while len(nodes) <= depth:  # a node at a mask's depth starts at its entry, swept
                 at = len(nodes)
-                dist = dists[at]
-                base = entry if at == depth and entry is not None else self.masked(dist, None)
+                dist, mask = dists[at], groups.get(at)
+                base = self.masked(dist, mask if isinstance(mask, np.ndarray) else None)
                 if at:
                     node = nodes[-1].children[path[at - 1]] = TrieNode(dist, base)
                     self.n_nodes += 1
@@ -326,35 +321,22 @@ class InvalidPrefixTrie:
                     root.dist, root.mask, root.masked = dist, base.mask, base
                 nodes.append(node)
             node = nodes[depth]
-            children, leaves = node.children, node.invalid
-            if entry is not None:
-                pruned = kept = ()
-                if children or leaves:  # none at a node born swept
-                    pruned = [t for t in children if not group[t]]
-                    kept = [t for t in leaves if group[t]]  # the caller vouches for these
-            else:
+            children = node.children
+            if born is not None:  # the mask's False entries are all its leaves
+                self.n_nodes += born.ruled_out
+                changed = depth
+            else:  # a few tokens, ars's one, or a tracked node's mask: a path each
                 pruned = [t for t in invalid if t in children]
-            for token in pruned:
-                # a longer prefix was inserted earlier; this one dominates it
-                self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
-            if entry is not None:
-                if node.masked is not entry:
-                    node.mask, node.masked, node.overlay = group, entry, {}
-                    for token in [*children, *kept]:
-                        self._repath(node, token)
-                # the mask's False entries that were neither leaves nor
-                # children become leaves
-                fresh = entry.ruled_out - (len(pruned) + len(leaves) - len(kept))
-            else:  # a few tokens, ars's one: a path each
+                for token in pruned:
+                    # a longer prefix was inserted earlier; this one dominates it
+                    self.n_nodes -= sum(1 for _ in self._walk(children.pop(token))) - 1
                 new = [t for t in invalid if t not in pruned and not node.is_leaf(t)]
                 if pruned or new:
-                    node.invalid = leaves.union(pruned, new)
+                    node.invalid = node.invalid.union(pruned, new)
                     for token in pruned + new:
                         self._repath(node, token)
-                fresh = len(new)
-            if fresh or pruned:
-                self.n_nodes += fresh
-                changed = depth
+                    self.n_nodes += len(new)
+                    changed = depth
             if depth < deepest and path[depth] not in children and node.is_leaf(path[depth]):
                 reach = depth  # the group made the path a leaf
 

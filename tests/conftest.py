@@ -43,6 +43,18 @@ def lowmass_lm():
     return load_table_lm(FIXTURES / "arith_lowmass_lm.json")
 
 
+def bench_workload(name):
+    """A benchmark workload, read from ``bench/workloads.py``."""
+    import sys
+
+    sys.path.insert(0, str(FIXTURES.parent / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return WORKLOADS[name]()
+
+
 def step_dists(lm, ids):
     """Model conditionals along a path, as insert_invalid and update want them."""
     from exsample import Sequence

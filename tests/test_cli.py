@@ -164,6 +164,27 @@ def test_trie_dumps_written(fixtures_dir, tmp_path):
     assert text.splitlines()[0].startswith("\t")
 
 
+def test_dump_trie_writes_the_final_trie(fixtures_dir, tmp_path):
+    """With ``--dump-trie`` a run also writes the trie it ends with: a
+    20-accept cars run's final snapshot is that trie's dump, ``n_nodes``
+    lines, more than the root's."""
+    from exsample import SamplerConfig, run
+    from exsample.constraints import load_constraint
+
+    cfg = _config(fixtures_dir, tmp_path / "out", methods=["cars"], seeds=[1],
+                  target_valid=20, oracle=False, dump_trie=True)
+    run_experiment(cfg)
+    lm = load_lm(cfg)
+    tries = []
+    stream, _ = run(lm, load_constraint(cfg.constraint, lm.vocab),
+                    SamplerConfig("cars", 1, lm.max_len, cfg.sample_cap), 20,
+                    trie_hook=lambda generation, trie: tries.append(trie))
+    assert len(list(stream)) == 20
+    text = (tmp_path / "out" / "trie_cars_1_final.txt").read_text()
+    assert text == tries[-1].dump()
+    assert len(text.splitlines()) == tries[-1].n_nodes > 1
+
+
 def test_cli_main_runs(fixtures_dir, tmp_path, capsys):
     config = {
         "lm": str(fixtures_dir / "arith_lm.json"),

@@ -30,7 +30,7 @@ from exsample.sampler import (
 )
 from exsample.trie import InvalidPrefixTrie
 from exsample.vocab import Vocabulary
-from conftest import invalid_prefixes
+from conftest import bench_workload, invalid_prefixes
 
 
 def cfg_for(lm, method="rs", seed=1, cap=100000):
@@ -578,6 +578,60 @@ def test_swept_nodes_supply_the_checkers_masks(instance, method, arith_lm, arith
     assert replayed == accepted
     assert swept > 0
     assert run_calls == calls <= steps - swept < steps
+
+
+def _all_viable_instance():
+    """A DFA instance whose prefixes of fewer than two letters accept every
+    token: any two letters, then no "bb"."""
+    vocab = Vocabulary.from_tokens(["a", "b", "ab", "$"], eos=3)
+    lm = TableLM(vocab, {}, [0.3, 0.3, 0.2, 0.2], 6)
+    a, b = ord("a"), ord("b")
+    moves = {(0, a): 1, (0, b): 1, (1, a): 2, (1, b): 2, (2, a): 2, (2, b): 3, (3, a): 2}
+    return lm, DfaChecker(make_dfa(4, 0, [0, 1, 2, 3], b"ab", moves), vocab)
+
+
+def _tracked_depth(trie, ids):
+    """How many leading prefixes of ``ids``, from the empty one, are
+    tracked nodes."""
+    if trie.root.dist is None:
+        return 0
+    node, depth = trie.root, 1
+    for token in ids:
+        node = node.children.get(token)
+        if node is None:
+            break
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("method", ["rsft", "cars"])
+@pytest.mark.parametrize("instance", ["arith", "dfa-v1024", "all-viable"])
+def test_masks_land_below_the_tracked_nodes(instance, method, arith_lm, arith_checker):
+    """A mask sweeps only a node it makes: every mask group that
+    ``invalid_set`` gives lands deeper than the path's tracked nodes, also
+    where a node was made on the way at the depth of a mask that ruled
+    nothing out (the all-viable instance's first two depths)."""
+    if instance == "arith":
+        lm, checker = arith_lm, arith_checker
+    elif instance == "dfa-v1024":
+        lm, checker = bench_workload(instance).build()
+    else:
+        lm, checker = _all_viable_instance()
+    cfg = cfg_for(lm, method, seed=3)
+    trie, rng = InvalidPrefixTrie(), make_rng(cfg.seed)
+    masks = 0
+    for _ in range(100):
+        trace = sample_one(lm, checker, trie, cfg, rng)
+        groups = invalid_set(trace, method)
+        tracked = _tracked_depth(trie, trace.tokens.ids)
+        for depth, group in groups.items():
+            assert isinstance(group, np.ndarray) and depth >= tracked, (trace.tokens, depth)
+        masks += len(groups)
+        trie.update(trace.tokens.ids, trace.step_dists, groups)
+    assert masks > 0
+    if instance == "all-viable" and method == "cars":
+        # some node was made on the way, at a mask that ruled nothing out
+        assert any(node.mask is not None and node.mask.all() for _, node in trie.nodes())
 
 
 @pytest.mark.parametrize("method", METHODS)

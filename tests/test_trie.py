@@ -1,6 +1,4 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from exsample.lm import NextTokenDistribution, TableLM, draw_index, sequence_pro
 from exsample.oracle import exact_p
 from exsample.trie import _DRIFT, _EDGE_TOL, InvalidPrefixTrie, Masked, _clamped, _tree
 from exsample.vocab import Vocabulary
-from conftest import step_dists
+from conftest import bench_workload, step_dists
 
 # invalid-prefix families for the arithmetic figure, as token ids over
 # {0:"0", 1:"1", 2:"+", 3:"$"}
@@ -261,6 +259,22 @@ def _invalid_tokens(seed, prefix, size):
     return np.random.default_rng([seed, len(prefix), *prefix]).random(size) < 0.3
 
 
+def _assert_same_as(trie, reference):
+    """``trie`` holds the prefixes and leaves of the ``_OneByOne``
+    ``reference``, in ``dump()`` order, with every p within rounding, the
+    same node count, and is consistent."""
+    got_lines = [line.split("\t") for line in trie.dump().splitlines()]
+    want_lines = list(reference.lines())
+    assert [(ids, leaf) for ids, _, leaf in got_lines] == [
+        (ids, leaf) for ids, _, leaf in want_lines
+    ]
+    for (ids, got_p, _), (_, want_p, _) in zip(got_lines, want_lines):
+        assert abs(float(got_p) - float(want_p)) <= _DRIFT, ids
+    assert trie.n_nodes == reference.n_nodes
+    assert trie.n_nodes == len(trie.dump().splitlines())
+    trie.check_local_consistency()
+
+
 def _node_at(trie, ids):
     node = trie.root
     for token in ids:
@@ -295,7 +309,7 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
                 if rng.random() < 0.5:
                     groups[depth] = ~invalid
                     tokens = np.flatnonzero(invalid).tolist()
-                    if node is not None and node.swept:
+                    if node is not None and node.mask is not None:
                         seen.add("swept")
                 else:
                     k = int(rng.integers(0, size + 1))
@@ -320,54 +334,50 @@ def test_sibling_batch_matches_one_by_one_inserts(size, horizon):
 
             got = batched.update(path, dists, groups)
             assert abs(got - want) <= _DRIFT
-            got_lines = [line.split("\t") for line in batched.dump().splitlines()]
-            want_lines = list(reference.lines())
-            assert [(ids, leaf) for ids, _, leaf in got_lines] == [
-                (ids, leaf) for ids, _, leaf in want_lines
-            ]
-            for (ids, got_p, _), (_, want_p, _) in zip(got_lines, want_lines):
-                assert abs(float(got_p) - float(want_p)) <= _DRIFT, ids
-            assert batched.n_nodes == reference.n_nodes
-            assert batched.n_nodes == len(batched.dump().splitlines())
-            batched.check_local_consistency()
+            _assert_same_as(batched, reference)
     want_seen = {"empty", "already a leaf", "deeper subtree", "eos", "path through a leaf", "swept"}
     assert want_seen <= seen
 
 
-def _swept_depth(trie, ids):
-    """How many leading prefixes of ``ids``, from the empty one up to
-    ``ids`` itself, are swept."""
-    node = trie.root
-    depth = 0
-    for token in ids:
-        if not node.swept:
-            return depth
-        depth += 1
-        node = node.children.get(token)
-        if node is None:
-            return depth
-    return depth + 1 if node.swept else depth
-
-
 def test_swept_marks_tracked_prefixes_only(arith_lm):
-    trie, _ = build(arith_lm, [(0, 2, 2)])
-    n_nodes = trie.n_nodes
-    assert _swept_depth(trie, (0, 2, 1)) == 0
-    # masks with no invalid token along (0, 2, 1), which is untracked:
-    # left unmarked, and no node is made for it
-    viable = np.ones(arith_lm.vocab.size, dtype=bool)
+    """A mask sweeps only a node it makes.  At a node already tracked it
+    records exactly its False tokens, as one insert per token would, and
+    the node keeps its (conditional, None) entry; at a swept node it
+    changes nothing.  The trie matches a prefix-by-prefix reference
+    throughout."""
     dists = step_dists(arith_lm, [0, 2, 1, 0])
+    trie, _ = build(arith_lm, [(0, 2, 2)])
+    reference = _OneByOne()
+    reference.insert((0, 2, 2), dists)
+    entries = [node.masked for _, node in trie.nodes()]
+    assert len(entries) == 3 and all(entry.mask is None for entry in entries)
+    # masks with no invalid token along (0, 2, 1): nothing is recorded, no
+    # tracked node changes its entry and no node is made for (0, 2, 1)
+    viable = np.ones(arith_lm.vocab.size, dtype=bool)
     assert trie.update((0, 2, 1), dists, {d: viable for d in range(4)}) == 0.0
-    assert trie.n_nodes == n_nodes
-    assert _swept_depth(trie, (0, 2, 1)) == 3
-    assert _swept_depth(trie, (0, 2)) == 3
-    assert _swept_depth(trie, (1,)) == 1
-    assert _swept_depth(trie, ()) == 1
-    # a mask at a swept node is skipped; a token group is not
+    assert [node.masked for _, node in trie.nodes()] == entries
+    _assert_same_as(trie, reference)
+    # a mask at the tracked node (0,) records its tokens 1 and 3, no more
+    mask = viable.copy()
+    mask[[1, 3]] = False
+    want = reference.insert((0, 1), dists) + reference.insert((0, 3), dists)
+    assert abs(trie.update((0,), dists, {1: mask}) - want) <= _DRIFT
+    node = trie.root.children[0]
+    assert node.mask is None and node.masked is entries[1] and node.invalid == {1, 3}
+    _assert_same_as(trie, reference)
+    # a mask at (1,), untracked, makes the node swept; a mask there again,
+    # or a token it rules out, changes nothing, and a token group is recorded
+    want = reference.insert((1, 1), dists) + reference.insert((1, 3), dists)
+    assert abs(trie.update((1,), dists, {1: mask}) - want) <= _DRIFT
+    swept = trie.root.children[1]
+    assert swept.mask is mask and swept.masked is trie.masked(dists[1], mask)
     before = trie.dump()
-    assert trie.update((), dists, {0: ~viable}) == 0.0
-    assert trie.dump() == before
-    assert trie.update((), dists, {0: [3]}) > 0.0
+    assert trie.update((1,), dists, {1: mask.copy()}) == 0.0
+    assert trie.update((1,), dists, {1: [3]}) == 0.0
+    assert trie.dump() == before and swept.masked is trie.masked(dists[1], mask)
+    want = reference.insert((1, 2), dists)
+    assert abs(trie.update((1,), dists, {1: [2]}) - want) <= _DRIFT
+    _assert_same_as(trie, reference)
 
 
 def _inverse_cdf(probs, cum, u):
@@ -545,23 +555,13 @@ def test_draw_short_inside_a_subtree_stays_on_positive_mass():
         assert trie.p_value((token,)) > 0.0 and dist[token] > 0.0, (u, token)
 
 
-def _bench_workload(name):
-    """A benchmark workload, read from ``bench/workloads.py``."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    try:
-        from workloads import WORKLOADS
-    finally:
-        sys.path.pop(0)
-    return WORKLOADS[name]()
-
-
 @pytest.mark.parametrize("method", ["ars", "rsft", "cars"])
 def test_v1024_draws_match_the_dense_referee(method):
     """On the dfa-v1024 instance (V = 1024), every 10th generation of a
     seed-1 episode: every node's sum tree is bit for bit the one its shares
     give, ``n_nodes`` counts the snapshot's lines, and at every tracked
     node ``draw`` matches an inverse CDF over ``reweight_factors``."""
-    lm, checker = _bench_workload("dfa-v1024").build()
+    lm, checker = bench_workload("dfa-v1024").build()
     grid = np.concatenate([np.linspace(0, 1, 41)[1:-1], np.random.default_rng(7).random(24)])
     checked = []
 
@@ -667,7 +667,7 @@ def test_v1024_nodes_share_base_trees(method):
     overlays only the paths of the shares changed since: at most
     log2 W + 1 entries, a leaf and its sums, per child and explicit leaf,
     and under 5% of W floats per node over the whole trie."""
-    lm, checker = _bench_workload("dfa-v1024").build()
+    lm, checker = bench_workload("dfa-v1024").build()
     tries = []
     cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * 20)
     stream, _ = run(lm, checker, cfg, 20, trie_hook=lambda generation, trie: tries.append(trie))
@@ -692,7 +692,7 @@ def test_v1024_nodes_share_base_trees(method):
 def _episode_trie(workload, method, accepts=20):
     """The trie of a seed-1 ``method`` episode of ``accepts`` accepts on
     the benchmark workload ``workload``."""
-    lm, checker = _bench_workload(workload).build()
+    lm, checker = bench_workload(workload).build()
     tries = []
     cfg = SamplerConfig(method=method, seed=1, max_len=lm.max_len, sample_cap=500 * accepts)
     stream, _ = run(lm, checker, cfg, accepts, trie_hook=lambda generation, trie: tries.append(trie))
@@ -732,9 +732,10 @@ def test_v1024_sweeps_read_each_count_once(method, monkeypatch):
 
 def test_a_node_swept_at_birth_starts_at_its_pairs_entry():
     """A node that a mask's group makes, the root too, is created at the
-    (conditional, mask) entry; only a node made on the way to a deeper
-    group starts at its conditional's unmasked entry.  A mask that rules
-    nothing out at a depth with no node makes none."""
+    (conditional, mask) entry, and so is a node made on the way to a
+    deeper group at the depth of a mask; a node made on the way at a depth
+    with no group starts at its conditional's unmasked entry.  A mask
+    that rules nothing out at a depth with no node makes none."""
     size = 8
     probs = np.linspace(1.0, 2.0, size)
     vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
@@ -745,14 +746,23 @@ def test_a_node_swept_at_birth_starts_at_its_pairs_entry():
     trie = InvalidPrefixTrie()
     trie.update((0,), dists[:2], {0: mask, 1: np.ones(size, dtype=bool)})
     root = trie.root
-    assert root.swept and root.mask is mask and root.masked is trie._cache[id(dists[0]), id(mask)]
+    assert root.mask is mask and root.masked is trie._cache[id(dists[0]), id(mask)]
     assert not root.children and trie.n_nodes == 3 == len(trie.dump().splitlines())
     assert not any(entry.mask is None for entry in trie._cache.values())
     trie.update((0, 1), dists, {2: mask})
     node, deep = root.children[0], root.children[0].children[1]
-    assert not node.swept and node.masked is trie._cache[id(dists[1]), id(None)]
-    assert deep.swept and deep.masked is trie._cache[id(dists[2]), id(mask)]
+    assert node.mask is None and node.masked is trie._cache[id(dists[1]), id(None)]
+    assert deep.mask is mask and deep.masked is trie._cache[id(dists[2]), id(mask)]
     assert trie.n_nodes == 7 == len(trie.dump().splitlines())
+    # (3,) is made on the way to (3, 1) at a depth whose mask rules nothing
+    # out: it starts at that mask's entry, and with a child it descends
+    viable = np.ones(size, dtype=bool)
+    trie.update((3, 1), dists, {1: viable, 2: mask})
+    node = root.children[3]
+    assert node.mask is viable and node.masked is trie._cache[id(dists[1]), id(viable)]
+    assert node.overlay and node.masked.tree.tobytes() == _tree(dists[1].probs).tobytes()
+    assert node.children[1].masked is trie._cache[id(dists[2]), id(mask)]
+    assert trie.n_nodes == 11 == len(trie.dump().splitlines())
     trie.check_local_consistency()
 
 
@@ -777,7 +787,7 @@ def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
 
     trie = _episode_trie(workload, "rsft")
     root = trie.root
-    assert root.swept and not root.children and not root.invalid and not root.overlay
+    assert root.mask is not None and not root.children and not root.invalid and not root.overlay
     assert root.masked is trie.masked(root.dist, root.mask)
     probs = trie.reweight_factors((), root.dist)
     cdf = np.cumsum(probs).tolist()
@@ -801,7 +811,7 @@ def _plain_swept(size=8):
     trie = InvalidPrefixTrie()
     trie.update((0,), [dist, dist], {1: mask})
     node = trie.root.children[0]
-    assert node.swept and not node.children and not node.overlay
+    assert node.mask is not None and not node.children and not node.overlay
     assert node.masked is trie.masked(dist, mask)
     return dist, trie
 
@@ -831,35 +841,43 @@ def test_swept_node_that_gains_a_child_draws_by_descent(monkeypatch):
 
 
 def test_sweep_rewrites_only_the_survivors_paths():
-    """Sweeping a node that has a tracked child (1), a child the mask
-    prunes (4), an explicit leaf the mask rules out too (5) and one it
-    keeps (6, which the caller vouches for) switches the node's base to
-    the trie's entry for (conditional, mask) and overlays exactly the
-    paths of the surviving child and the kept leaf; its p is the root sum
-    of the tree its shares give, bit for bit, and its draws match the
+    """A mask given at a tracked node that has a tracked child (1), a child
+    the mask rules out (4), an explicit leaf it rules out too (5) and one
+    it does not (6) records exactly its False tokens: 0 becomes a leaf,
+    4's subtree is pruned to one, and 1, 5 and 6 stay as they were.
+    The node keeps its (conditional, None) entry, its overlay gains only
+    the path of 0 and changes only the entries on the paths of 0 and 4;
+    its p is the root sum of the tree its shares give, bit for bit, the
+    trie matches a prefix-by-prefix reference, and its draws match the
     referee."""
     size = 8
     probs = np.linspace(1.0, 2.0, size)
     vocab = Vocabulary.from_tokens([f"t{i}" for i in range(size - 1)] + ["$"], eos=size - 1)
     dist = TableLM(vocab, {}, probs, 4).next_distribution(vocab.empty())
-    trie = InvalidPrefixTrie()
-    trie.update((1,), [dist, dist], {1: [2]})
-    trie.update((4,), [dist, dist], {1: [3]})
-    trie.update((), [dist], {0: [5, 6]})
+    trie, reference = InvalidPrefixTrie(), _OneByOne()
+    for path, group in [((1,), {1: [2]}), ((4,), {1: [3]}), ((), {0: [5, 6]})]:
+        trie.update(path, [dist] * (len(path) + 1), group)
+        for depth, tokens in group.items():
+            for token in tokens:
+                reference.insert(path[:depth] + (token,), [dist] * (depth + 1))
+    node = trie.root
+    entry, before = node.masked, dict(node.overlay)
     mask = np.ones(size, dtype=bool)
     mask[[0, 4, 5]] = False
-    trie.update((), [dist], {0: mask})
-    node = trie.root
-    assert list(node.children) == [1] and node.invalid == {5, 6}
-    assert node.masked is trie.masked(dist, mask)
+    want = sum(reference.insert((token,), [dist]) for token in (0, 4, 5))
+    assert abs(trie.update((), [dist], {0: mask}) - want) <= _DRIFT
+    assert node.masked is entry and entry.mask is None and node.mask is None
+    assert list(node.children) == [1] and node.invalid == {0, 4, 5, 6}
 
     def path(token):  # the heap indices of a leaf and the sums above it
         i = len(node.masked.tree) // 2 + token
         return {i >> h for h in range(i.bit_length())}
 
-    assert set(node.overlay) == path(1) | path(6)
+    assert set(node.overlay) == set(before) | path(0)
+    rewritten = {k for k, s in node.overlay.items() if before.get(k) != s}
+    assert path(0) - path(4) <= rewritten <= path(0) | path(4)
     assert node.p == _tree(dist.probs * node.shares())[1]
-    trie.check_local_consistency()
+    _assert_same_as(trie, reference)
     grid = np.append(_token_grid(trie.reweight_factors((), dist)), np.linspace(0, 1, 201))
     _assert_draws_match(trie, node, dist, (), grid)
 
