@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import count
 from pathlib import Path
 
 from .constraints import load_constraint
@@ -155,16 +156,44 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                     metrics.tv_oracle = empirical_tv(samples, oracle_cond)
                 kl_by_method.setdefault(method, []).append(metrics.kl_proxy)
             all_metrics.append(metrics)
-            _write_trajectory(out_dir, metrics)
-            _write_samples(out_dir, metrics, samples, lm.vocab)
+            cell = f"{method}_{seed}"
+            _write_table(
+                out_dir / f"trajectory_{cell}.csv",
+                "iteration,p_eps,cumulative_accepts",
+                zip(count(1), metrics.p_eps_trajectory, metrics.cumulative_accepts),
+            )
+            _write_table(
+                out_dir / f"samples_{cell}.tsv",
+                "index\tlm_calls\tids\ttext",
+                (
+                    (i, calls, ",".join(map(str, seq.ids)), _text(lm.vocab, seq))
+                    for i, seq, calls in zip(count(1), samples, metrics.accepted_lm_calls)
+                ),
+                sep="\t",
+            )
 
     for metrics in all_metrics:
         values = kl_by_method.get(metrics.method, [])
         if len(values) >= 2:
             metrics.bootstrap_ci = bootstrap_ci(values)
 
-    _write_metrics_csv(out_dir / "metrics.csv", all_metrics)
-    _write_efficiency(out_dir / "efficiency.csv", all_metrics, cfg.target_valid)
+    _write_table(
+        out_dir / "metrics.csv",
+        "method,seed,generations,accepted,kl_proxy,kl_oracle,tv_oracle,ci_low,ci_high",
+        (
+            (m.method, m.seed, m.generations, m.accepted, m.kl_proxy, m.kl_oracle, m.tv_oracle)
+            + (m.bootstrap_ci or (None, None))
+            for m in all_metrics
+        ),
+    )
+    _write_table(
+        out_dir / "efficiency.csv",
+        "method,runs,timeouts,mean_generations",
+        (
+            (method, row["runs"], row["timeouts"], row["mean_generations"])
+            for method, row in efficiency_summary(all_metrics, cfg.target_valid).items()
+        ),
+    )
     return 0
 
 
@@ -187,58 +216,15 @@ class _TrieDumps:
         path.write_text(self.trie.dump(), encoding="utf-8")
 
 
-def _write_metrics_csv(path: Path, all_metrics: list[RunMetrics]) -> None:
-    lines = ["method,seed,generations,accepted,kl_proxy,kl_oracle,tv_oracle,ci_low,ci_high"]
-    for m in all_metrics:
-        lo, hi = m.bootstrap_ci if m.bootstrap_ci else (None, None)
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    m.method,
-                    m.seed,
-                    m.generations,
-                    m.accepted,
-                    m.kl_proxy,
-                    m.kl_oracle,
-                    m.tv_oracle,
-                    lo,
-                    hi,
-                )
-            )
-        )
+def _write_table(path: Path, header: str, rows, sep: str = ",") -> None:
+    """Write ``header`` and then one line per row, its cells as ``_fmt``
+    gives them joined by ``sep``, as UTF-8 with a trailing newline."""
+    lines = [header] + [sep.join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_trajectory(out_dir: Path, m: RunMetrics) -> None:
-    lines = ["iteration,p_eps,cumulative_accepts"]
-    for i, (p, acc) in enumerate(zip(m.p_eps_trajectory, m.cumulative_accepts), start=1):
-        lines.append(f"{i},{p!r},{acc}")
-    path = out_dir / f"trajectory_{m.method}_{m.seed}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_samples(out_dir: Path, m: RunMetrics, samples, vocab: Vocabulary) -> None:
-    lines = ["index\tlm_calls\tids\ttext"]
-    for i, (seq, calls) in enumerate(zip(samples, m.accepted_lm_calls), start=1):
-        ids = ",".join(str(t) for t in seq.ids)
-        text = vocab.decode(seq).decode("utf-8", errors="replace")
-        lines.append(f"{i}\t{calls}\t{ids}\t{text}")
-    path = out_dir / f"samples_{m.method}_{m.seed}.tsv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_efficiency(path: Path, all_metrics: list[RunMetrics], target: int) -> None:
-    summary = efficiency_summary(all_metrics, target)
-    lines = ["method,runs,timeouts,mean_generations"]
-    for method, row in summary.items():
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (method, row["runs"], row["timeouts"], row["mean_generations"])
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _text(vocab: Vocabulary, seq) -> str:
+    return vocab.decode(seq).decode("utf-8", errors="replace")
 
 
 def oracle_report(cfg: ExperimentConfig) -> str:

@@ -60,19 +60,25 @@ class Grammar:
         return frozenset(out)
 
 
-def nullable_set(productions) -> frozenset[str]:
-    """The nonterminals of ``productions`` that derive the empty string."""
-    nullable: set[str] = set()
+def _least_fixpoint(productions, terminals: bool) -> set[str]:
+    """The least set of nonterminals with a production whose every symbol
+    is in the set; a terminal counts as in it when ``terminals``."""
+    found: set[str] = set()
     changed = True
     while changed:
         changed = False
         for lhs, rhs in productions:
-            if lhs in nullable:
-                continue
-            if all(isinstance(s, str) and s in nullable for s in rhs):
-                nullable.add(lhs)
+            if lhs not in found and all(
+                s in found if isinstance(s, str) else terminals for s in rhs
+            ):
+                found.add(lhs)
                 changed = True
-    return frozenset(nullable)
+    return found
+
+
+def nullable_set(productions) -> frozenset[str]:
+    """The nonterminals of ``productions`` that derive the empty string."""
+    return frozenset(_least_fixpoint(productions, False))
 
 
 def reduce_grammar(g: Grammar) -> tuple[Grammar, tuple[str, ...]]:
@@ -81,16 +87,7 @@ def reduce_grammar(g: Grammar) -> tuple[Grammar, tuple[str, ...]]:
     Returns the reduced grammar and the removed nonterminal names; raises
     EmptyLanguageError when the start symbol itself dies.
     """
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.productions:
-            if lhs in productive:
-                continue
-            if all(not isinstance(s, str) or s in productive for s in rhs):
-                productive.add(lhs)
-                changed = True
+    productive = _least_fixpoint(g.productions, True)
     if g.start not in productive:
         raise EmptyLanguageError(f"start symbol {g.start!r} derives no string")
     kept = [

@@ -184,10 +184,23 @@ def _int_field(doc: Mapping, field: str, kind: str) -> int:
     return value
 
 
+def _strings(doc: Mapping, field: str, kind: str) -> list[str]:
+    """``doc[field]``, which must be an array of strings; a ValueError
+    names the document ``kind``, the field and the first other entry."""
+    values = doc[field]
+    where = f"{kind} document field {field!r}"
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be an array of strings, not {type(values).__name__}")
+    for i, value in enumerate(values):
+        if not isinstance(value, str):
+            raise ValueError(f"{where} entry {i} is {value!r}, not a string")
+    return values
+
+
 def vocab_from_doc(doc: Mapping, kind: str) -> Vocabulary:
-    """The vocabulary of a parsed ``kind`` document: its ``tokens`` and
-    its ``eos``, which must be a JSON integer."""
-    return Vocabulary.from_tokens(doc["tokens"], _int_field(doc, "eos", kind))
+    """The vocabulary of a parsed ``kind`` document: its ``tokens``, an
+    array of strings, and its ``eos``, which must be a JSON integer."""
+    return Vocabulary.from_tokens(_strings(doc, "tokens", kind), _int_field(doc, "eos", kind))
 
 
 def _checked_vector(raw, size: int, where: str) -> np.ndarray:
@@ -212,11 +225,14 @@ def _checked_vector(raw, size: int, where: str) -> np.ndarray:
 def _parse_context_key(key: str, vocab: Vocabulary) -> tuple[int, ...]:
     if key == "":
         return ()
+    where = f"table LM document field 'contexts' entry {key!r}"
     try:
-        ids = tuple(int(part) for part in key.split(","))
-    except ValueError:
-        raise ValueError(f"malformed context key {key!r}") from None
-    return vocab.seq(ids).ids
+        prefix = vocab.seq(int(part) for part in key.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{where} is not a prefix: {exc}") from None
+    if prefix.terminated:
+        raise ValueError(f"{where} ends with eos, so no prefix reads it")
+    return prefix.ids
 
 
 def read_doc(source: str | Path | IO[str], kind: str) -> dict:
@@ -245,8 +261,12 @@ def table_lm_from_doc(doc: Mapping) -> TableLM:
     vocab = vocab_from_doc(doc, "table LM")
     horizon = _int_field(doc, "horizon", "table LM")
     default = _checked_vector(doc["default"], vocab.size, "default vector")
+    raw_contexts = doc.get("contexts", {})
+    if not isinstance(raw_contexts, dict):
+        name = type(raw_contexts).__name__
+        raise ValueError(f"table LM document field 'contexts' must be an object, not {name}")
     contexts = {}
-    for key, raw in doc.get("contexts", {}).items():
+    for key, raw in raw_contexts.items():
         ids = _parse_context_key(key, vocab)
         contexts[ids] = _checked_vector(raw, vocab.size, f"context {key!r}")
     return TableLM(vocab, contexts, default, horizon)
@@ -259,7 +279,12 @@ def ngram_lm_from_doc(doc: Mapping) -> NGramLM:
             raise ValueError(f"n-gram LM document is missing {field!r}")
     vocab = vocab_from_doc(doc, "n-gram LM")
     order, horizon = (_int_field(doc, f, "n-gram LM") for f in ("order", "horizon"))
-    corpus = [vocab.encode(line) for line in doc["corpus"]]
+    corpus = []
+    for i, line in enumerate(_strings(doc, "corpus", "n-gram LM")):
+        try:
+            corpus.append(vocab.encode(line))
+        except ValueError as exc:
+            raise ValueError(f"n-gram LM document field 'corpus' entry {i}: {exc}") from None
     return NGramLM(vocab, order, corpus, horizon)
 
 
@@ -272,7 +297,8 @@ class NGramLM(LanguageModel):
     """Fixed-order n-gram model with add-one smoothing.
 
     Contexts are the last order-1 tokens, left-padded at the start of a
-    sequence; smoothing gives every token non-zero mass everywhere.
+    sequence; smoothing gives every token non-zero mass everywhere.  Every
+    seen context's distribution is built once, as ``TableLM``'s are.
     """
 
     _BOS = -1
@@ -300,8 +326,7 @@ class NGramLM(LanguageModel):
                 if ctx not in counts:
                     counts[ctx] = np.zeros(vocab.size)
                 counts[ctx][token] += 1
-        self._counts = counts
-        self._dists: dict[tuple[int, ...], NextTokenDistribution] = {}
+        self._dists = {ctx: NextTokenDistribution(c + 1.0) for ctx, c in counts.items()}
         self._unseen = NextTokenDistribution(np.ones(vocab.size))
 
     def _context(self, ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -310,16 +335,7 @@ class NGramLM(LanguageModel):
         return padded
 
     def _conditional(self, ids: tuple[int, ...]) -> NextTokenDistribution:
-        ctx = self._context(ids)
-        dist = self._dists.get(ctx)
-        if dist is None:
-            c = self._counts.get(ctx)
-            if c is None:
-                dist = self._unseen
-            else:
-                dist = NextTokenDistribution(c + 1.0)
-            self._dists[ctx] = dist
-        return dist
+        return self._dists.get(self._context(ids), self._unseen)
 
 
 class RemoteLM(LanguageModel):

@@ -110,7 +110,6 @@ def _draw(
     lm: LanguageModel,
     checker: ConstraintChecker,
     trie: InvalidPrefixTrie,
-    cfg: SamplerConfig,
     rng,
     masked: bool,
 ) -> SampleTrace:
@@ -157,7 +156,7 @@ def _draw(
         else:
             cdf = trie.masked(dist, mask).cdf if masked else dist.cdf
             if cdf is None:
-                if len(ids) == cfg.max_len:
+                if len(ids) == lm.max_len:
                     # horizon dead end: eos forced but not a member here
                     return SampleTrace(prefix, False, tuple(dists), tuple(masks))
                 raise RuntimeError(
@@ -181,12 +180,11 @@ def sample_one(
     lm: LanguageModel,
     checker: ConstraintChecker,
     trie: InvalidPrefixTrie,
-    cfg: SamplerConfig,
     rng,
 ) -> SampleTrace:
     """Draw one terminated sequence from the trie-reweighted model, one
     ``rng.random()`` per emitted token."""
-    return _draw(lm, checker, trie, cfg, rng, False)
+    return _draw(lm, checker, trie, rng, False)
 
 
 def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.ndarray]:
@@ -204,29 +202,29 @@ def invalid_set(trace: SampleTrace, method: str) -> dict[int, list[int] | np.nda
     prefix branching off the sampled path at step i reuses step i's
     distribution, so no extra model calls are ever needed.
     """
-    masks = trace.step_masks
+    # each branch reads only the fields it needs: unpacking a NamedTuple,
+    # a tuple subclass, takes the generic path and costs more than the reads
     if method == "rs" or method == "gcd":
         return {}
     if method == "ars":
         if trace.accepted:
             return {}
-        k = len(masks)  # prefix ids[:k-1] was viable, ids[:k] is not
+        k = len(trace.step_masks)  # prefix ids[:k-1] was viable, ids[:k] is not
         return {k - 1: [trace.tokens.ids[k - 1]]}
     swept = trace.swept
     if method == "rsft":
         # every invalid first token, whatever was sampled, until the root is swept
-        return {} if swept else {0: masks[0]}
+        return {} if swept else {0: trace.step_masks[0]}
     # cars: every invalid one-token continuation of every visited viable
     # prefix; this includes the trace's own shortest invalid prefix when
     # the trace was rejected, and applies unchanged to accepted samples
-    return dict(enumerate(masks[swept:], swept))
+    return dict(enumerate(trace.step_masks[swept:], swept))
 
 
 def gcd_sample(
     lm: LanguageModel,
     checker: ConstraintChecker,
     trie: InvalidPrefixTrie,
-    cfg: SamplerConfig,
     rng,
 ) -> SampleTrace:
     """Greedy constrained decoding: mask non-viable tokens, renormalize,
@@ -239,7 +237,7 @@ def gcd_sample(
     The masked distributions are cached in ``trie``, which gcd records
     nothing in; ``run`` passes one per run, as long-lived as its model.
     """
-    return _draw(lm, checker, trie, cfg, rng, True)
+    return _draw(lm, checker, trie, rng, True)
 
 
 def run(
@@ -275,26 +273,25 @@ def run(
             for generation in range(1, cfg.sample_cap + 1):
                 if target_valid is not None and metrics.accepted >= target_valid:
                     return
-                trace = draw(lm, checker, trie, cfg, rng)
+                trace = draw(lm, checker, trie, rng)
+                tokens, accepted, dists = trace.tokens, trace.accepted, trace.step_dists
                 metrics.generations = generation
                 previous = trie.root.p
-                groups = invalid_set(trace, method)
-                trie.update(trace.tokens.ids, trace.step_dists, groups)
-                if trie.root.p > previous:
-                    raise TrieCorruptionError(
-                        f"root mass rose from {previous!r} to {trie.root.p!r}"
-                    )
-                metrics.p_eps_trajectory.append(trie.root.p)
-                if trace.accepted:
+                trie.update(tokens.ids, dists, invalid_set(trace, method))
+                p = trie.root.p
+                if p > previous:
+                    raise TrieCorruptionError(f"root mass rose from {previous!r} to {p!r}")
+                metrics.p_eps_trajectory.append(p)
+                if accepted:
                     metrics.accepted += 1
-                    metrics.accepted_lm_calls.append(trace.lm_calls)
+                    metrics.accepted_lm_calls.append(len(dists))
                 elif gcd:
                     metrics.gcd_discards += 1
                 metrics.cumulative_accepts.append(metrics.accepted)
                 if trie_hook is not None:
                     trie_hook(generation, trie)
-                if trace.accepted:
-                    yield trace.tokens
+                if accepted:
+                    yield tokens
         except (TrieCorruptionError, MassExhaustedError) as exc:
             raise type(exc)(
                 f"{method} seed {cfg.seed} generation {generation}: {exc}"

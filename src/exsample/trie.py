@@ -509,20 +509,17 @@ class InvalidPrefixTrie:
         shares, which must give its base overlaid with its overlay bit for
         bit, and recompute every p bottom-up from the children's recomputed
         values, not from the stored shares, and compare against the
-        incrementally maintained values to ``_CHECK_TOL``."""
-
-        def opened(ids: tuple[int, ...], node: TrieNode) -> tuple:
-            """Check the node's base and sum tree; its frame holds its
-            shares, which its children's recomputed values overwrite, and
-            the children still to visit."""
-            shares = None
+        incrementally maintained values to ``_CHECK_TOL``.  Reversing
+        ``nodes()``'s depth-first order visits children before parents."""
+        fresh: dict[int, float] = {}  # id(node) -> its recomputed p
+        for ids, node in reversed(list(self.nodes())):
+            p = 1.0
             if node.dist is not None:
                 if node.masked is not self._cache.get((id(node.dist), id(node.mask))):
                     raise TrieCorruptionError(
                         f"node {ids}: base is not the cache entry of its conditional and mask"
                     )
                 shares = node.shares()
-                want = _tree(node.dist.probs * shares)
                 over = node.overlay
                 tree = node.masked.tree[:]
                 for k, s in over.items():
@@ -531,29 +528,16 @@ class InvalidPrefixTrie:
                             f"node {ids}: overlay sum {k} is off the heap or lacks its parent"
                         )
                     tree[k] = s
-                if tree.tobytes() != want.tobytes():
+                if tree.tobytes() != _tree(node.dist.probs * shares).tobytes():
                     raise TrieCorruptionError(
                         f"node {ids}: sum tree differs from the one its shares give"
                     )
-            return ids, node, shares, iter(node.children.items())
-
-        # an explicit stack of the open nodes, root first: a node's p is
-        # compared once all its children's are recomputed
-        stack = [opened((), self.root)]
-        while stack:
-            ids, node, shares, children = stack[-1]
-            child = next(children, None)
-            if child is not None:
-                stack.append(opened(ids + (child[0],), child[1]))
-                continue
-            stack.pop()
-            fresh = 1.0 if shares is None else float((node.dist.probs * shares).sum())
-            if abs(fresh - node.p) > _CHECK_TOL:
-                raise TrieCorruptionError(
-                    f"node {ids}: stored p {node.p!r} vs recomputed {fresh!r}"
-                )
-            if stack:  # the parent's share of this node
-                stack[-1][2][ids[-1]] = fresh
+                for token, child in node.children.items():
+                    shares[token] = fresh[id(child)]
+                p = float((node.dist.probs * shares).sum())
+            if abs(p - node.p) > _CHECK_TOL:
+                raise TrieCorruptionError(f"node {ids}: stored p {node.p!r} vs recomputed {p!r}")
+            fresh[id(node)] = p
 
     def dump(self) -> str:
         """Depth-first snapshot: one ``prefix<TAB>p<TAB>leaf`` line per

@@ -215,7 +215,7 @@ def test_criterion_2_per_iteration_exactness(arith_lm, arith_checker):
                         ok = ok and err <= 1e-9
             if trie.p_eps <= 0:
                 break
-            trace = sample_one(lm, checker, trie, cfg, rng)
+            trace = sample_one(lm, checker, trie, rng)
             groups = invalid_set(trace, "cars")
             for ids, dists, _ in invalid_prefixes(trace, groups, lm.vocab.eos):
                 trie.insert_invalid(ids, dists)

@@ -91,11 +91,10 @@ def test_empty_trie_matches_reference_sampler(arith_lm, arith_checker):
     token stream must equal an independent inverse-CDF implementation fed
     the same uniforms."""
     trie = InvalidPrefixTrie()
-    cfg = cfg_for(arith_lm)
     rng = make_rng(42)
     ref_rng = make_rng(42)
     for _ in range(300):
-        trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+        trace = sample_one(arith_lm, arith_checker, trie, rng)
         ref_ids = []
         while True:
             dist = arith_lm.next_distribution(Sequence(tuple(ref_ids), False))
@@ -134,8 +133,7 @@ def test_run_stream_matches_scalar_draws_across_block_refills(
     assert sum(len(ids) for ids, _ in want) > 4 * 512
 
     trie, rng = InvalidPrefixTrie(), make_rng(seed)
-    cfg = cfg_for(arith_lm, "rs", seed)
-    got = [sample_one(arith_lm, arith_checker, trie, cfg, rng) for _ in range(generations)]
+    got = [sample_one(arith_lm, arith_checker, trie, rng) for _ in range(generations)]
     assert [(t.tokens.ids, t.accepted) for t in got] == want
 
     # every step asks the model for its prefix, so the prefixes asked for
@@ -170,7 +168,6 @@ def test_tree_draws_follow_inserts(arith_lm, arith_checker):
         return InvalidPrefixTrie.draw(trie, node, *args)
 
     trie.draw = draw
-    cfg = cfg_for(arith_lm)
     rng = make_rng(13)
     ref_rng = make_rng(13)
     for ids in [(2,), (0, 2, 2), (0, 0), (0, 2, 1, 2, 2), (1, 1), (0, 2, 0, 0)]:
@@ -179,7 +176,7 @@ def test_tree_draws_follow_inserts(arith_lm, arith_checker):
         removed = trie.insert_invalid(arith_lm.vocab.seq(ids), step_dists(arith_lm, ids))
         assert removed > 0.0
         for _ in range(200):
-            trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+            trace = sample_one(arith_lm, arith_checker, trie, rng)
             ref_ids = []
             while True:
                 prefix = Sequence(tuple(ref_ids), False)
@@ -194,10 +191,9 @@ def test_tree_draws_follow_inserts(arith_lm, arith_checker):
 
 def test_trace_accounting(arith_lm, arith_checker):
     trie = InvalidPrefixTrie()
-    cfg = cfg_for(arith_lm)
     rng = make_rng(7)
     for _ in range(50):
-        trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+        trace = sample_one(arith_lm, arith_checker, trie, rng)
         assert trace.lm_calls == len(trace.tokens.ids) == len(trace.step_dists)
         assert len(trace.step_masks) <= len(trace.tokens.ids)
         assert trace.tokens.terminated
@@ -223,11 +219,10 @@ def test_pruned_continuation_never_sampled(arith_lm, arith_checker):
 
     trie = InvalidPrefixTrie()
     trie.insert_invalid(arith_lm.vocab.seq([0, 2, 2]), step_dists(arith_lm, [0, 2, 2]))
-    cfg = cfg_for(arith_lm)
     rng = make_rng(3)
     seen_zero_plus = 0
     for _ in range(2000):
-        trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+        trace = sample_one(arith_lm, arith_checker, trie, rng)
         assert trace.tokens.ids[:3] != (0, 2, 2)
         if trace.tokens.ids[:2] == (0, 2):
             seen_zero_plus += 1
@@ -238,7 +233,7 @@ def test_sample_one_requires_mass(arith_lm, arith_checker):
     trie = InvalidPrefixTrie()
     trie.root.p = 0.0
     with pytest.raises(MassExhaustedError):
-        sample_one(arith_lm, arith_checker, trie, cfg_for(arith_lm), make_rng(1))
+        sample_one(arith_lm, arith_checker, trie, make_rng(1))
 
 
 # -- invalid_set ---------------------------------------------------------------
@@ -322,10 +317,9 @@ def test_cars_rejected_covers_shortest_invalid(arith_lm, arith_checker):
 
 def test_every_emitted_prefix_is_invalid(arith_lm, arith_checker):
     trie = InvalidPrefixTrie()
-    cfg = cfg_for(arith_lm)
     rng = make_rng(11)
     for _ in range(200):
-        trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+        trace = sample_one(arith_lm, arith_checker, trie, rng)
         for method in METHODS:
             for ids, dists, terminated in _invalid(trace, method, arith_lm.vocab):
                 assert len(dists) == len(ids)
@@ -342,9 +336,8 @@ def test_every_emitted_prefix_is_invalid(arith_lm, arith_checker):
 
 def test_cars_edge_probs_line_up_with_model(arith_lm, arith_checker):
     trie = InvalidPrefixTrie()
-    cfg = cfg_for(arith_lm)
     rng = make_rng(5)
-    trace = sample_one(arith_lm, arith_checker, trie, cfg, rng)
+    trace = sample_one(arith_lm, arith_checker, trie, rng)
     for ids, dists, _ in _invalid(trace, "cars", arith_lm.vocab):
         for i, d in enumerate(dists):
             want = arith_lm.next_distribution(Sequence(ids[:i], False))
@@ -407,7 +400,7 @@ def test_skipping_swept_prefixes_loses_nothing(method, instance, arith_lm, arith
     trie = InvalidPrefixTrie()
     rng = make_rng(cfg.seed)
     for dump in dumps:
-        trace = sample_one(lm, checker, trie, cfg, rng)
+        trace = sample_one(lm, checker, trie, rng)
         # a copy that counts no swept step gives every group the trace saw
         whole = SampleTrace(trace.tokens, trace.accepted, trace.step_dists, trace.step_masks)
         assert whole.swept == 0
@@ -528,7 +521,7 @@ def test_membership_is_asked_only_of_viable_traces(instance, method, arith_lm, a
         trie, rng = InvalidPrefixTrie(), make_rng(seed)
         want = []
         for _ in range(metrics.generations):
-            trace = sample_one(lm, referee, trie, cfg_for(lm, method, seed), rng)
+            trace = sample_one(lm, referee, trie, rng)
             member = referee.is_complete(trace.tokens)
             assert trace.accepted == member
             want.append(member)
@@ -566,7 +559,7 @@ def test_swept_nodes_supply_the_checkers_masks(instance, method, arith_lm, arith
     trie, rng = InvalidPrefixTrie(), make_rng(cfg.seed)
     replayed, steps, swept = [], 0, 0
     for _ in range(metrics.generations):
-        trace = sample_one(lm, checker, trie, cfg, rng)
+        trace = sample_one(lm, checker, trie, rng)
         ids = trace.tokens.ids
         for depth, mask in enumerate(trace.step_masks):
             assert np.array_equal(mask, referee.viability_mask(Sequence(ids[:depth], False)))
@@ -621,7 +614,7 @@ def test_masks_land_below_the_tracked_nodes(instance, method, arith_lm, arith_ch
     trie, rng = InvalidPrefixTrie(), make_rng(cfg.seed)
     masks = 0
     for _ in range(100):
-        trace = sample_one(lm, checker, trie, cfg, rng)
+        trace = sample_one(lm, checker, trie, rng)
         groups = invalid_set(trace, method)
         tracked = _tracked_depth(trie, trace.tokens.ids)
         for depth, group in groups.items():
@@ -667,13 +660,12 @@ def test_checker_steps_each_state_token_pair_once(instance, method, arith_lm, ar
 def test_gcd_unrestricted_equals_unconstrained(arith_lm):
     vocab = arith_lm.vocab
     anything = EarleyChecker(parse_grammar('S : ("0" | "1" | "+")*\n'), vocab)
-    cfg = cfg_for(arith_lm, "gcd")
     rng = make_rng(21)
     plain_rng = make_rng(21)
     trie = InvalidPrefixTrie()
     for _ in range(300):
-        constrained = gcd_sample(arith_lm, anything, InvalidPrefixTrie(), cfg, rng)
-        plain = sample_one(arith_lm, anything, trie, cfg, plain_rng)
+        constrained = gcd_sample(arith_lm, anything, InvalidPrefixTrie(), rng)
+        plain = sample_one(arith_lm, anything, trie, plain_rng)
         assert constrained.tokens.ids == plain.tokens.ids
         assert constrained.accepted
 
@@ -688,19 +680,17 @@ def test_gcd_draws_without_the_module_sample_one(arith_lm, arith_checker, monkey
         raise AssertionError("gcd_sample went through sample_one")
 
     monkeypatch.setattr(sampler_mod, "sample_one", wrapped)
-    cfg = cfg_for(arith_lm, "gcd")
-    assert gcd_sample(arith_lm, arith_checker, InvalidPrefixTrie(), cfg, make_rng(3)).accepted
+    assert gcd_sample(arith_lm, arith_checker, InvalidPrefixTrie(), make_rng(3)).accepted
     stream, _ = run(arith_lm, arith_checker, cfg_for(arith_lm, "gcd"), target_valid=20)
     assert len(list(stream)) == 20
 
 
 def test_gcd_two_word_bias(twoword_lm, twoword_checker):
-    cfg = cfg_for(twoword_lm, "gcd")
     rng = make_rng(6)
     counts = {"a": 0, "bb": 0}
     trie = InvalidPrefixTrie()
     for _ in range(10000):
-        trace = gcd_sample(twoword_lm, twoword_checker, trie, cfg, rng)
+        trace = gcd_sample(twoword_lm, twoword_checker, trie, rng)
         assert trace.accepted
         counts["a" if trace.tokens.ids == (0, 3) else "bb"] += 1
     freq_a = counts["a"] / 10000
@@ -737,12 +727,11 @@ def test_gcd_cached_tables_match_fresh_renormalization(instance, arith_lm, arith
     ``dist.probs * mask`` afresh at every step with ``np.cumsum``, fed the
     same uniforms, when one trie's cache serves many samples."""
     lm, checker = _gcd_instance(instance, arith_lm, arith_checker)
-    cfg = cfg_for(lm, "gcd")
     rng = make_rng(31)
     ref_rng = make_rng(31)
     trie = InvalidPrefixTrie()
     for _ in range(300):
-        trace = gcd_sample(lm, checker, trie, cfg, rng)
+        trace = gcd_sample(lm, checker, trie, rng)
         ref_ids = []
         while True:
             prefix = Sequence(tuple(ref_ids), False)
@@ -772,7 +761,6 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
     vocab = Vocabulary.from_tokens(["a", "$"], eos=1)
     lm = TableLM(vocab, {}, [0.9, 0.1], max_len=2)
     checker = EarleyChecker(parse_grammar('S : "a" "a" "a"\n'), vocab)
-    cfg = SamplerConfig(method="gcd", seed=1, max_len=2)
     rng = make_rng(1)
     trie = InvalidPrefixTrie()
     built = []
@@ -787,7 +775,7 @@ def test_gcd_horizon_dead_end_trace_with_shared_cache(monkeypatch):
     cdf.__set_name__(trie_mod.Masked, "cdf")
     monkeypatch.setattr(trie_mod.Masked, "cdf", cdf)
     for i in range(3):  # the dead-end entry is served from the cache after the first
-        trace = gcd_sample(lm, checker, trie, cfg, rng)
+        trace = gcd_sample(lm, checker, trie, rng)
         assert trace.tokens == Sequence((0, 0), False)
         assert not trace.accepted
         assert trace.lm_calls == len(trace.step_dists) == len(trace.step_masks) == 3

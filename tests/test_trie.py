@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1129,6 +1130,23 @@ def test_a_trie_deeper_than_the_recursion_limit_is_walked():
     assert trie.leaves() == [path + (1,), path[:-1] + (2,)]
     trie.check_local_consistency()
     assert trie.p_eps == pytest.approx(1.0 - 0.5**1999 * (0.2 + 0.5 * 0.3), abs=1e-15)
+
+    # the check visits children before parents, so a fault at the deepest
+    # tracked node is reported there, not as its ancestors' sum trees
+    ids, deepest = list(trie.nodes())[-1]
+    assert ids == path
+    stored = deepest.p
+    deepest.p = stored - 1e-6
+    with pytest.raises(TrieCorruptionError, match=re.escape(f"node {path}: stored p")):
+        trie.check_local_consistency()
+    deepest.p = stored
+    # its leaf's path sums sit in its overlay: drop one that has a sum below it
+    k = next(k for k in deepest.overlay if 2 * k in deepest.overlay or 2 * k + 1 in deepest.overlay)
+    s = deepest.overlay.pop(k)
+    with pytest.raises(TrieCorruptionError, match="lacks its parent"):
+        trie.check_local_consistency()
+    deepest.overlay[k] = s
+    trie.check_local_consistency()
 
     # a prefix one token deep dominates the whole path: its subtree goes
     assert trie.insert_invalid(path[:1], [dist]) == pytest.approx(0.5, abs=1e-15)

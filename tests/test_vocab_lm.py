@@ -23,6 +23,7 @@ from exsample.lm import (
     ngram_lm_from_doc,
     sequence_probability,
     table_lm_from_doc,
+    vocab_from_doc,
 )
 from exsample.vocab import UnterminatedSequenceError, Vocabulary
 
@@ -516,3 +517,36 @@ def test_load_ngram_lm_errors(tmp_path):
         _load_file_lm(path)
     # a file that is not JSON, or not an object: test_cli's
     # test_bad_json_file_is_a_value_error_naming_it[*-lm]
+
+
+_TABLE = ("table LM", table_lm_from_doc, _doc)
+_NGRAM = ("n-gram LM", ngram_lm_from_doc, _corpus_doc)
+_VOCAB = ("vocabulary", lambda doc: vocab_from_doc(doc, "vocabulary"), _doc)
+
+
+@pytest.mark.parametrize(
+    "kind, field, bad, want",
+    [
+        (_TABLE, "tokens", "01+$", "field 'tokens' must be an array of strings, not str"),
+        (_TABLE, "tokens", ["0", 1, "+", "$"], "field 'tokens' entry 1 is 1, not a string"),
+        (_VOCAB, "tokens", ["0", "1", None, "$"], "field 'tokens' entry 2 is None, not a string"),
+        (_TABLE, "contexts", [], "field 'contexts' must be an object, not list"),
+        (_TABLE, "contexts", {"0,3": [1.0, 0, 0, 0]}, "field 'contexts' entry '0,3' ends with eos"),
+        (_TABLE, "contexts", {"0,9": [1.0, 0, 0, 0]},
+         "field 'contexts' entry '0,9' is not a prefix: token id 9 outside vocabulary of size 4"),
+        (_NGRAM, "corpus", "0+1", "field 'corpus' must be an array of strings, not str"),
+        (_NGRAM, "corpus", ["0+1", 5], "field 'corpus' entry 1 is 5, not a string"),
+        (_NGRAM, "corpus", ["0+1", "1x"], "field 'corpus' entry 1: cannot tokenize byte b'x'"),
+    ],
+    ids=["tokens-string", "tokens-number", "vocab-null", "contexts-array", "contexts-eos",
+         "contexts-range", "corpus-string", "corpus-number", "corpus-untokenizable"],
+)
+def test_documents_that_would_load_wrong_are_refused(kind, field, bad, want):
+    """Tokens and corpus lines are strings and contexts an object of
+    unterminated prefixes; anything else is a ValueError naming the
+    document kind, the field and the entry, not a model that loads wrong."""
+    name, load, make = kind
+    doc = make()
+    doc[field] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{name} document {want}")):
+        load(doc)
