@@ -199,8 +199,22 @@ def _strings(doc: Mapping, field: str, kind: str) -> list[str]:
 
 def vocab_from_doc(doc: Mapping, kind: str) -> Vocabulary:
     """The vocabulary of a parsed ``kind`` document: its ``tokens``, an
-    array of strings, and its ``eos``, which must be a JSON integer."""
-    return Vocabulary.from_tokens(_strings(doc, "tokens", kind), _int_field(doc, "eos", kind))
+    array of strings, and its ``eos``, which must be a JSON integer.
+    ``Vocabulary``'s own refusals are re-raised naming the document
+    ``kind`` and the field, with the entry of an empty token."""
+    tokens = _strings(doc, "tokens", kind)
+    eos = _int_field(doc, "eos", kind)
+    try:
+        return Vocabulary.from_tokens(tokens, eos)
+    except ValueError as exc:  # Vocabulary checks the size, then eos, then each surface
+        empty = [i for i, token in enumerate(tokens) if not token and i != eos]
+        if len(tokens) >= 2 and not 0 <= eos < len(tokens):
+            field = "'eos'"
+        elif len(tokens) >= 2 and empty:
+            field = f"'tokens' entry {empty[0]}"
+        else:
+            field = "'tokens'"
+        raise ValueError(f"{kind} document field {field}: {exc}") from None
 
 
 def _checked_vector(raw, size: int, where: str) -> np.ndarray:
@@ -222,7 +236,7 @@ def _checked_vector(raw, size: int, where: str) -> np.ndarray:
     return vec
 
 
-def _parse_context_key(key: str, vocab: Vocabulary) -> tuple[int, ...]:
+def _parse_context_key(key: str, vocab: Vocabulary, horizon: int) -> tuple[int, ...]:
     if key == "":
         return ()
     where = f"table LM document field 'contexts' entry {key!r}"
@@ -232,6 +246,11 @@ def _parse_context_key(key: str, vocab: Vocabulary) -> tuple[int, ...]:
         raise ValueError(f"{where} is not a prefix: {exc}") from None
     if prefix.terminated:
         raise ValueError(f"{where} ends with eos, so no prefix reads it")
+    if len(prefix) >= horizon:  # the model gives eos there, whatever the table says
+        raise ValueError(
+            f"{where} has {len(prefix)} tokens, not fewer than horizon {horizon}, "
+            "so no prefix reads it"
+        )
     return prefix.ids
 
 
@@ -267,7 +286,7 @@ def table_lm_from_doc(doc: Mapping) -> TableLM:
         raise ValueError(f"table LM document field 'contexts' must be an object, not {name}")
     contexts = {}
     for key, raw in raw_contexts.items():
-        ids = _parse_context_key(key, vocab)
+        ids = _parse_context_key(key, vocab, horizon)
         contexts[ids] = _checked_vector(raw, vocab.size, f"context {key!r}")
     return TableLM(vocab, contexts, default, horizon)
 

@@ -127,6 +127,10 @@ def _draw(
     own mask, the checker's array that swept it, so the checker is asked
     only at the other steps; the trace's ``swept`` counts the leading
     steps drawn at such nodes.
+
+    A tracked step hands the model and the checker the node's own
+    ``prefix``, made with the node, so a ``Sequence`` is built per step
+    only off the trie.
     """
     if trie.root.p <= 0.0:
         raise MassExhaustedError("no valid mass left; constraint unreachable")
@@ -140,7 +144,7 @@ def _draw(
     node = None if masked or trie.root.dist is None else trie.root
     viable = True
     while True:
-        prefix = Sequence(tuple(ids), False)
+        prefix = node.prefix if node is not None else Sequence(tuple(ids), False)
         dist = lm.next_distribution(prefix)
         dists.append(dist)
         if viable:
@@ -152,7 +156,7 @@ def _draw(
                 mask = checker.viability_mask(prefix)
             masks.append(mask)
         if node is not None:
-            token = trie.draw(node, dist, prefix.ids, random())
+            token = trie.draw(node, dist, random())
         else:
             cdf = trie.masked(dist, mask).cdf if masked else dist.cdf
             if cdf is None:

@@ -10,12 +10,15 @@ mass of sequences avoiding the invalid set.  Untracked sequences
 implicitly have p = 1 (no extension is known invalid) or p = 0 (at or
 below a leaf).
 
-A node holds its conditional ``dist`` = P(.|u), its tracked ``children``,
-its leaves, recorded explicitly (the ``invalid`` tokens, plus the False
-entries of the viability ``mask`` it was born swept by), and a binary sum
-tree over its V terms P(a|u)·share(a) (Wong & Easton, "An efficient method
-for weighted sampling without replacement", SIAM J. Comput. 1980): a heap of
-2W floats, W being V rounded up to a power of two, where leaf W + t holds
+A node holds its ``prefix``, u as the unterminated ``Sequence`` that the
+model and the checker are asked at it, made once when the node is (so a
+sampler at a tracked node builds none), its conditional ``dist`` =
+P(.|u), its tracked ``children``, its leaves, recorded explicitly (the
+``invalid`` tokens, plus the False entries of the viability ``mask`` it
+was born swept by), and a binary sum tree over its V terms
+P(a|u)·share(a) (Wong & Easton, "An efficient method for weighted
+sampling without replacement", SIAM J. Comput. 1980): a heap of 2W
+floats, W being V rounded up to a power of two, where leaf W + t holds
 token t's term (zero past V) and sum i is sum 2i plus sum 2i + 1, so sum
 1 is p(u).  A changed share rewrites its token's leaf and recomputes the
 log2 W sums above it, each as left + right, never by adding or
@@ -168,14 +171,18 @@ class Masked:
 
 
 class TrieNode:
-    """A tracked viable prefix u: ``children`` maps a token t to the node
-    of u·t, and ``masked.tree`` and ``overlay`` hold the sum tree of
-    P(a|u)·p(u·a): entry i is ``overlay[i]`` if present, else
-    ``masked.tree[i]``."""
+    """A tracked viable prefix u, held as ``prefix``, the unterminated
+    ``Sequence`` of its path, made once with the node: ``children`` maps a
+    token t to the node of u·t, and ``masked.tree`` and ``overlay`` hold
+    the sum tree of P(a|u)·p(u·a): entry i is ``overlay[i]`` if present,
+    else ``masked.tree[i]``."""
 
-    __slots__ = ("children", "dist", "invalid", "mask", "masked", "overlay", "p")
+    __slots__ = ("children", "dist", "invalid", "mask", "masked", "overlay", "p", "prefix")
 
-    def __init__(self, dist: NextTokenDistribution | None, masked: Masked | None) -> None:
+    def __init__(
+        self, prefix: Sequence, dist: NextTokenDistribution | None, masked: Masked | None
+    ) -> None:
+        self.prefix = prefix
         self.children: dict[int, TrieNode] = {}
         self.dist = dist  # P(.|u); None only at a root nothing was inserted under
         self.invalid: frozenset[int] = _NO_LEAVES  # leaves given as tokens
@@ -201,23 +208,23 @@ class TrieNode:
             shares[token] = child.p
         return shares
 
-    def check(self, dist: NextTokenDistribution, ids: tuple[int, ...]) -> None:
+    def check(self, dist: NextTokenDistribution) -> None:
         """Raise unless ``dist`` is this node's conditional, to ``_EDGE_TOL``;
-        ``ids``, the node's prefix, names it in the error."""
+        the error names the node's prefix."""
         if dist is self.dist:
             return
         diff = np.abs(dist.probs - self.dist.probs)
         token = int(diff.argmax())
         if diff[token] > _EDGE_TOL:
             raise TrieCorruptionError(
-                f"edge probability for token {token} after prefix {ids} changed "
+                f"edge probability for token {token} after prefix {self.prefix.ids} changed "
                 f"from {float(self.dist.probs[token])!r} to {float(dist.probs[token])!r}"
             )
 
 
 class InvalidPrefixTrie:
     def __init__(self) -> None:
-        self.root = TrieNode(None, None)
+        self.root = TrieNode(Sequence((), False), None, None)
         self.n_nodes = 1  # tracked nodes plus invalid prefixes: dump()'s lines
         self._cache: dict = {}  # (id(dist), id(mask)) -> Masked
 
@@ -282,8 +289,8 @@ class InvalidPrefixTrie:
         reach = deepest  # groups below a leaf on the path change nothing
         depth = 0
         while node is not None:
-            if dists[depth] is not node.dist:  # spare the call and the slice
-                node.check(dists[depth], path[:depth])
+            if dists[depth] is not node.dist:  # spare the call
+                node.check(dists[depth])
             nodes.append(node)
             if depth == deepest:
                 break
@@ -314,7 +321,8 @@ class InvalidPrefixTrie:
                 dist, mask = dists[at], groups.get(at)
                 base = self.masked(dist, mask if isinstance(mask, np.ndarray) else None)
                 if at:
-                    node = nodes[-1].children[path[at - 1]] = TrieNode(dist, base)
+                    node = TrieNode(Sequence(path[:at], False), dist, base)
+                    nodes[-1].children[path[at - 1]] = node
                     self.n_nodes += 1
                 else:
                     node = root
@@ -375,34 +383,31 @@ class InvalidPrefixTrie:
             i >>= 1
             s = over[i] = s + (over[sibling] if sibling in over else base[sibling])
 
-    def draw(
-        self, node: TrieNode, dist: NextTokenDistribution, ids: tuple[int, ...], u: float
-    ) -> int:
+    def draw(self, node: TrieNode, dist: NextTokenDistribution, u: float) -> int:
         """Inverse-CDF draw from the reweighted conditional at the tracked
-        node of prefix ``ids``, by one descent of its sum tree to a leaf:
-        the first positive-mass token whose running sum reaches u·p, the
-        lower id on a tie.  The descent steps right only into positive
-        mass, so on a floating shortfall it ends on the last positive-mass
-        token of the subtree it fell short in.
+        ``node``, by one descent of its sum tree to a leaf: the first
+        positive-mass token whose running sum reaches u·p, the lower id on
+        a tie.  The descent steps right only into positive mass, so on a
+        floating shortfall it ends on the last positive-mass token of the
+        subtree it fell short in.
 
         A swept node with an empty overlay has its entry's tree, so its
         reweighted conditional is its entry's: it bisects ``masked.cdf``.
 
         ``dist`` must be the node's conditional; the tree's total must equal
-        the stored p to ``_SUM_TOL``.  ``ids`` only names the prefix when a
-        check fails.
+        the stored p to ``_SUM_TOL``; a failed check names the node's prefix.
         """
         if dist is not node.dist:
-            node.check(dist, ids)
+            node.check(dist)
         p = node.p
         if p <= 0.0:
-            raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
+            raise MassExhaustedError(f"prefix {node.prefix.ids} has no remaining valid mass")
         masked, over = node.masked, node.overlay
         base = masked.tree
         total = over[1] if 1 in over else base[1]
         if abs(total - p) > _SUM_TOL * p:
             raise TrieCorruptionError(
-                f"reweighted conditional after prefix {ids} sums to {total / p!r}; "
+                f"reweighted conditional after prefix {node.prefix.ids} sums to {total / p!r}; "
                 "bookkeeping corrupt"
             )
         if not over and masked.mask is not None:
@@ -465,7 +470,7 @@ class InvalidPrefixTrie:
             raise MassExhaustedError(f"prefix {ids} has no remaining valid mass")
         if found.dist is None:
             return dist.probs
-        found.check(dist, ids)
+        found.check(dist)
         out = dist.probs * found.shares() / found.p
         total = float(out.sum())
         if abs(total - 1.0) > _SUM_TOL:
@@ -503,16 +508,19 @@ class InvalidPrefixTrie:
         return [ids for ids, node in self._walk(self.root) if node is None]
 
     def check_local_consistency(self) -> None:
-        """Debug mode: check that every node's base is the tree of the
-        trie's cache entry for its (conditional, mask) pair and its overlay
-        keys are closed upward, rebuild every node's sum tree from its
-        shares, which must give its base overlaid with its overlay bit for
-        bit, and recompute every p bottom-up from the children's recomputed
-        values, not from the stored shares, and compare against the
-        incrementally maintained values to ``_CHECK_TOL``.  Reversing
-        ``nodes()``'s depth-first order visits children before parents."""
+        """Debug mode: check that every node's prefix is its path,
+        unterminated, its base is the tree of the trie's cache entry for its
+        (conditional, mask) pair and its overlay keys are closed upward,
+        rebuild every node's sum tree from its shares, which must give its
+        base overlaid with its overlay bit for bit, and recompute every p
+        bottom-up from the children's recomputed values, not from the
+        stored shares, and compare against the incrementally maintained
+        values to ``_CHECK_TOL``.  Reversing ``nodes()``'s depth-first order
+        visits children before parents."""
         fresh: dict[int, float] = {}  # id(node) -> its recomputed p
         for ids, node in reversed(list(self.nodes())):
+            if node.prefix != Sequence(ids, False):
+                raise TrieCorruptionError(f"node {ids}: prefix {node.prefix!r} is not its path")
             p = 1.0
             if node.dist is not None:
                 if node.masked is not self._cache.get((id(node.dist), id(node.mask))):

@@ -163,9 +163,9 @@ def test_tree_draws_follow_inserts(arith_lm, arith_checker):
     trie = InvalidPrefixTrie()
     drawn = set()
 
-    def draw(node, *args):
+    def draw(node, dist, u):
         drawn.add(id(node))
-        return InvalidPrefixTrie.draw(trie, node, *args)
+        return InvalidPrefixTrie.draw(trie, node, dist, u)
 
     trie.draw = draw
     rng = make_rng(13)
@@ -625,6 +625,46 @@ def test_masks_land_below_the_tracked_nodes(instance, method, arith_lm, arith_ch
     if instance == "all-viable" and method == "cars":
         # some node was made on the way, at a mask that ruled nothing out
         assert any(node.mask is not None and node.mask.all() for _, node in trie.nodes())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("instance", ["arith", "dfa-v1024"])
+def test_tracked_steps_hand_the_model_the_nodes_prefix(
+    instance, method, seed, arith_lm, arith_checker, monkeypatch
+):
+    """Every prefix the model is asked is the trace's prefix at its step,
+    and at a step drawn at a tracked node it is that node's own ``prefix``
+    object, not a new ``Sequence`` equal to it."""
+    if instance == "arith":
+        lm, checker = arith_lm, arith_checker
+    else:
+        lm, checker = bench_workload(instance).build()
+    asked = []
+    next_distribution = lm.next_distribution
+
+    def recorded(prefix):
+        asked.append(prefix)
+        return next_distribution(prefix)
+
+    monkeypatch.setattr(lm, "next_distribution", recorded)
+    trie, rng = InvalidPrefixTrie(), make_rng(seed)
+    tracked = []  # (index in asked of the step's prefix, node) per tree draw
+
+    def draw(node, dist, u):
+        tracked.append((len(asked) - 1, node))
+        return InvalidPrefixTrie.draw(trie, node, dist, u)
+
+    trie.draw = draw
+    sample = gcd_sample if method == "gcd" else sample_one
+    for _ in range(100):
+        start = len(asked)
+        trace = sample(lm, checker, trie, rng)
+        ids = trace.tokens.ids
+        assert asked[start:] == [Sequence(ids[:i], False) for i in range(trace.lm_calls)]
+        trie.update(ids, trace.step_dists, invalid_set(trace, method))
+    assert all(asked[step] is node.prefix for step, node in tracked)
+    assert bool(tracked) == (method in ("ars", "rsft", "cars"))
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -173,7 +173,7 @@ def test_reweight_checks_name_the_prefix(arith_lm):
     node = trie.root.children[0].children[2]
     node.p /= 2  # corrupt the bookkeeping
     with pytest.raises(TrieCorruptionError, match=r"after prefix \(0, 2\) sums to"):
-        trie.draw(node, after_02, (0, 2), 0.5)
+        trie.draw(node, after_02, 0.5)
 
 
 class _RefNode:
@@ -400,10 +400,10 @@ def _assert_draws_match(trie, node, dist, prefix, grid):
     clear = np.abs(grid[:, None] - cum[None, :]).min(axis=1) > 1e-12
     assert clear.any()
     for u in grid[clear].tolist():
-        assert trie.draw(node, dist, prefix, u) == _inverse_cdf(probs, cum, u), (prefix, u)
+        assert trie.draw(node, dist, u) == _inverse_cdf(probs, cum, u), (prefix, u)
     positive = np.flatnonzero(probs > 0.0)
-    assert trie.draw(node, dist, prefix, 0.0) == positive[0]
-    assert trie.draw(node, dist, prefix, 1.0 - 2.0**-53) == positive[-1]
+    assert trie.draw(node, dist, 0.0) == positive[0]
+    assert trie.draw(node, dist, 1.0 - 2.0**-53) == positive[-1]
 
 
 def _token_grid(probs):
@@ -427,7 +427,7 @@ def test_draw_matches_reweight_factors(arith_lm):
             _assert_draws_match(trie, node, dist, prefix, np.append(grid, np.linspace(0, 1, 201)))
             # a draw never lands on a leaf or a zero-mass token
             for u in np.linspace(0, 1, 101).tolist():
-                token = trie.draw(node, dist, prefix, u)
+                token = trie.draw(node, dist, u)
                 assert trie.p_value(prefix + (token,)) > 0.0 and dist[token] > 0.0
 
 
@@ -446,7 +446,7 @@ def test_draw_is_read_only(arith_lm):
     for prefix, node in trie.nodes():
         dist = arith_lm.next_distribution(Sequence(prefix, False))
         for u in np.linspace(0, 1, 101).tolist():
-            trie.draw(node, dist, prefix, u)
+            trie.draw(node, dist, u)
     assert trie.dump() == before
     assert {prefix: (_effective_tree(node), node.p) for prefix, node in trie.nodes()} == trees
     trie.check_local_consistency()
@@ -484,7 +484,7 @@ def test_draw_at_any_vocabulary_size(size):
             p = node.p
             node.p = p * (1 + 1e-9)
             last = np.flatnonzero(weights)[-1]
-            assert trie.draw(node, node.dist, prefix, 1.0 - 2.0**-53) == last
+            assert trie.draw(node, node.dist, 1.0 - 2.0**-53) == last
             node.p = p
 
 
@@ -552,7 +552,7 @@ def test_draw_short_inside_a_subtree_stays_on_positive_mass():
     grid = np.linspace(0, 1, 1001).tolist() + near
     assert any(left < u * node.p <= over[2] for u in grid)  # some u falls short
     for u in grid:
-        token = trie.draw(node, dist, (), u)
+        token = trie.draw(node, dist, u)
         assert trie.p_value((token,)) > 0.0 and dist[token] > 0.0, (u, token)
 
 
@@ -608,7 +608,7 @@ def test_v1024_tiny_mass_stays_exact():
     trie.check_local_consistency()
     node = trie.root
     for u in np.append(np.linspace(0, 1, 2001), 1 - 2.0**-53).tolist():
-        token = trie.draw(node, dist, (), u)
+        token = trie.draw(node, dist, u)
         assert token in (5, 700, 1023), u
     _assert_draws_match(trie, node, dist, (), np.linspace(0, 1, 2001))
 
@@ -658,6 +658,23 @@ def test_consistency_check_needs_the_cache_entry(arith_lm):
         with pytest.raises(TrieCorruptionError, match=r"node \(0,\): base is not the cache entry"):
             trie.check_local_consistency()
         assert len(trie._cache) == entries
+
+
+def test_consistency_check_needs_each_prefix_to_be_its_path(arith_lm):
+    """A tracked node holds its path as an unterminated ``Sequence``: a
+    shorter path, the path terminated or its bare ids fail the check,
+    which names the node."""
+    trie, _ = build(arith_lm, CARS_INSERTS)
+    node = trie.root.children[0].children[2]
+    assert node.prefix == Sequence((0, 2), False)
+    trie.check_local_consistency()
+    prefix = node.prefix
+    for wrong in (Sequence((0,), False), Sequence((0, 2), True), (0, 2)):
+        node.prefix = wrong
+        with pytest.raises(TrieCorruptionError, match=r"node \(0, 2\): prefix .* is not its path"):
+            trie.check_local_consistency()
+    node.prefix = prefix
+    trie.check_local_consistency()
 
 
 @pytest.mark.parametrize("method", ["ars", "cars"])
@@ -795,7 +812,7 @@ def test_swept_root_draws_flat_as_the_referee(workload, monkeypatch):
     flat = []
     monkeypatch.setattr(trie_mod, "draw_index", lambda *args: flat.append(1) or draw_index(*args))
     for u in np.random.default_rng(21).random(20000).tolist() + [0.0, 1.0 - 2.0**-53]:
-        assert trie.draw(root, root.dist, (), u) == draw_index(cdf, u), u
+        assert trie.draw(root, root.dist, u) == draw_index(cdf, u), u
     assert len(flat) == 20002  # every draw took the bisect
     trie.check_local_consistency()
 
@@ -892,13 +909,13 @@ def test_flat_draw_keeps_the_invariant_checks():
     p = node.p
     node.p = p * (1 + 1e-7)
     with pytest.raises(TrieCorruptionError, match=r"after prefix \(0,\) sums to"):
-        trie.draw(node, dist, (0,), 0.5)
+        trie.draw(node, dist, 0.5)
     node.p = p
     probs = dist.probs.copy()
     probs[[0, 1]] += [1e-9, -1e-9]
     with pytest.raises(TrieCorruptionError, match=r"token [01] after prefix \(0,\) changed"):
-        trie.draw(node, NextTokenDistribution(probs), (0,), 0.5)
-    trie.draw(node, dist, (0,), 0.5)  # untouched
+        trie.draw(node, NextTokenDistribution(probs), 0.5)
+    trie.draw(node, dist, 0.5)  # untouched
 
 
 def _built(trie, part):
@@ -932,10 +949,10 @@ def test_cars_builds_tables_only_for_flat_draws(monkeypatch):
         trie = plain_trie()
         draw = trie.draw
 
-        def recorded(node, dist, ids, u):
+        def recorded(node, dist, u):
             if not node.overlay and node.masked.mask is not None:
                 drawn[id(node.masked)] = node.masked
-            return draw(node, dist, ids, u)
+            return draw(node, dist, u)
 
         trie.draw = recorded
         return trie

@@ -534,17 +534,24 @@ _VOCAB = ("vocabulary", lambda doc: vocab_from_doc(doc, "vocabulary"), _doc)
         (_TABLE, "contexts", {"0,3": [1.0, 0, 0, 0]}, "field 'contexts' entry '0,3' ends with eos"),
         (_TABLE, "contexts", {"0,9": [1.0, 0, 0, 0]},
          "field 'contexts' entry '0,9' is not a prefix: token id 9 outside vocabulary of size 4"),
+        (_TABLE, "contexts", {"0,1,2,0,1": [1.0, 0, 0, 0]},
+         "field 'contexts' entry '0,1,2,0,1' has 5 tokens, not fewer than horizon 5"),
+        (_VOCAB, "tokens", ["0", "", "+", "$"],
+         "field 'tokens' entry 1: token 1 has an empty surface"),
+        (_NGRAM, "eos", 5, "field 'eos': eos id 5 outside vocabulary of size 4"),
         (_NGRAM, "corpus", "0+1", "field 'corpus' must be an array of strings, not str"),
         (_NGRAM, "corpus", ["0+1", 5], "field 'corpus' entry 1 is 5, not a string"),
         (_NGRAM, "corpus", ["0+1", "1x"], "field 'corpus' entry 1: cannot tokenize byte b'x'"),
     ],
     ids=["tokens-string", "tokens-number", "vocab-null", "contexts-array", "contexts-eos",
-         "contexts-range", "corpus-string", "corpus-number", "corpus-untokenizable"],
+         "contexts-range", "contexts-horizon", "vocab-empty-token", "eos-range",
+         "corpus-string", "corpus-number", "corpus-untokenizable"],
 )
 def test_documents_that_would_load_wrong_are_refused(kind, field, bad, want):
-    """Tokens and corpus lines are strings and contexts an object of
-    unterminated prefixes; anything else is a ValueError naming the
-    document kind, the field and the entry, not a model that loads wrong."""
+    """Tokens are non-empty strings, eos one of their ids, corpus lines
+    strings and contexts an object of unterminated prefixes shorter than
+    the horizon; anything else is a ValueError naming the document kind,
+    the field and the entry, not a model that loads wrong."""
     name, load, make = kind
     doc = make()
     doc[field] = bad
